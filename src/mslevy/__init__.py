@@ -23,7 +23,6 @@ from .ergodic import (
     averaged_diffusion,
     averaged_drift,
     build_averaged_table,
-    convergence_to_average,
     ergodicity_decay,
     estimate_invariant_measure,
     load_averaged_table,
@@ -45,10 +44,11 @@ from .estimate import (
 from .integrate import (
     PathSample,
     StepperConfig,
-    simulate_averaged_weak,
-    simulate_frozen,
-    simulate_pair_coupled,
-    simulate_slow_fast,
+    run_averaged_batch,
+    run_frozen_batch,
+    run_frozen_pair_batch,
+    run_pair_batch,
+    run_system_batch,
 )
 from .model import (
     AssumptionParams,
@@ -69,11 +69,8 @@ from .rng import (
     RngStream,
     TruncatedGaussian,
     Uniform,
-    compensator_rate,
     default_jump_measure,
-    jump_expectation,
-    sample_jump_size,
-    sample_jump_times,
+    sample_jump_times_batch,
 )
 
 __version__ = "0.1.0"

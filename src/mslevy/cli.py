@@ -14,6 +14,7 @@ Exit codes: 0 success; 1 a quantitative check failed or was refused
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -347,7 +348,8 @@ def _save_error_report(rep, out: Path):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate_model(model, opts, out, stream):
+def _cmd_validate_model(model, cfg, out, stream):
+    opts = cfg.options
     box = opts["box"]
     probes = opts["probes"]
     reports = [
@@ -377,7 +379,8 @@ def _cmd_validate_model(model, opts, out, stream):
     return (0 if ok else 1), lines
 
 
-def _cmd_frozen_stats(model, opts, out, stream):
+def _cmd_frozen_stats(model, cfg, out, stream):
+    opts = cfg.options
     inv = ergodic.estimate_invariant_measure(
         model, opts["x"], burn_in=opts["burn_in"], horizon=opts["horizon"],
         n_chains=opts["chains"], delta=opts["delta"], thin=opts["thin"],
@@ -397,7 +400,8 @@ def _cmd_frozen_stats(model, opts, out, stream):
     return 0, lines
 
 
-def _cmd_avg_table(model, opts, out, stream):
+def _cmd_avg_table(model, cfg, out, stream):
+    opts = cfg.options
     tb = opts["table"]
     inv_cfg = ergodic.InvariantConfig(
         n_chains=tb["chains"], burn_in=tb["burn_in"], horizon=tb["horizon"],
@@ -413,7 +417,8 @@ def _cmd_avg_table(model, opts, out, stream):
     return 0, lines
 
 
-def _cmd_poisson_check(model, opts, out, stream):
+def _cmd_poisson_check(model, cfg, out, stream):
+    opts = cfg.options
     x, y = opts["x"], opts["y"]
     inv = ergodic.estimate_invariant_measure(
         model, x, burn_in=opts["burn_in"], horizon=opts["horizon"],
@@ -492,7 +497,8 @@ def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
             "gap": float(np.linalg.norm(lhs - rhs)), "ci": ci, "pass": ok}
 
 
-def _cmd_ergodicity(model, opts, out, stream):
+def _cmd_ergodicity(model, cfg, out, stream):
+    opts = cfg.options
     times = np.linspace(opts["t_end"] / opts["n_times"], opts["t_end"],
                         opts["n_times"])
     dec = ergodic.ergodicity_decay(
@@ -516,8 +522,9 @@ def _cmd_ergodicity(model, opts, out, stream):
     return code, lines
 
 
-def _order_command(kind, model, model_ref, opts, out, stream):
-    table, cached = _get_table(model, model_ref, opts["table"], "clamp",
+def _order_command(kind, model, cfg, out, stream):
+    opts = cfg.options
+    table, cached = _get_table(model, cfg.model_ref, opts["table"], "clamp",
                                stream.master_seed, out, stream.child("table"))
     policy = estimate.DeltaPolicy(mode=opts["delta_policy"]["mode"],
                                   fast_exp=opts["delta_policy"]["fast_exp"])
@@ -557,7 +564,8 @@ def _order_command(kind, model, model_ref, opts, out, stream):
     return (0 if ok else 1), lines
 
 
-def _cmd_fast_moments(model, opts, out, stream):
+def _cmd_fast_moments(model, cfg, out, stream):
+    opts = cfg.options
     rep = estimate.fast_moment_sweep(
         model, eps=opts["epsilon"], p=opts["p"], t_end=opts["t_end"],
         n_paths=opts["n_paths"], x0=opts["x0"], y0=opts["y0"],
@@ -576,6 +584,18 @@ def _cmd_fast_moments(model, opts, out, stream):
     return (1 if rep.flags else 0), lines
 
 
+_HANDLERS = {
+    "validate-model": _cmd_validate_model,
+    "frozen-stats": _cmd_frozen_stats,
+    "avg-table": _cmd_avg_table,
+    "poisson-check": _cmd_poisson_check,
+    "ergodicity": _cmd_ergodicity,
+    "strong-order": functools.partial(_order_command, "strong"),
+    "weak-order": functools.partial(_order_command, "weak"),
+    "fast-moments": _cmd_fast_moments,
+}
+
+
 def run(command: str, config_path, seed_override: int | None = None,
         out_dir=None) -> int:
     """Execute one command; returns the exit code and writes artifacts."""
@@ -585,27 +605,7 @@ def run(command: str, config_path, seed_override: int | None = None,
         cfg = parse_config(config_path, command, seed_override)
         model = get_model(cfg.model_ref)
         _write_json(out / "effective_config.json", cfg.to_dict())
-        stream = RngStream(cfg.seed)
-        if command == "validate-model":
-            code, lines = _cmd_validate_model(model, cfg.options, out, stream)
-        elif command == "frozen-stats":
-            code, lines = _cmd_frozen_stats(model, cfg.options, out, stream)
-        elif command == "avg-table":
-            code, lines = _cmd_avg_table(model, cfg.options, out, stream)
-        elif command == "poisson-check":
-            code, lines = _cmd_poisson_check(model, cfg.options, out, stream)
-        elif command == "ergodicity":
-            code, lines = _cmd_ergodicity(model, cfg.options, out, stream)
-        elif command == "strong-order":
-            code, lines = _order_command("strong", model, cfg.model_ref,
-                                         cfg.options, out, stream)
-        elif command == "weak-order":
-            code, lines = _order_command("weak", model, cfg.model_ref,
-                                         cfg.options, out, stream)
-        elif command == "fast-moments":
-            code, lines = _cmd_fast_moments(model, cfg.options, out, stream)
-        else:  # pragma: no cover - parse_config rejects unknown commands
-            raise ConfigurationError(f"unknown command {command!r}")
+        code, lines = _HANDLERS[cfg.command](model, cfg, out, RngStream(cfg.seed))
     except (ConfigurationError, TableValidationError) as exc:
         _log_error(out, 2, exc)
         return 2

@@ -40,7 +40,6 @@ __all__ = [
     "ExactAveraged",
     "PoissonCell",
     "DecayCurve",
-    "ConvergenceCurve",
     "psd_sqrt",
     "estimate_invariant_measure",
     "averaged_drift",
@@ -50,7 +49,6 @@ __all__ = [
     "load_averaged_table",
     "poisson_cell",
     "ergodicity_decay",
-    "convergence_to_average",
 ]
 
 _EXTRAPOLATIONS = ("clamp", "error")
@@ -83,6 +81,27 @@ def psd_sqrt(mat: np.ndarray, hard_floor: float = -1e-6) -> tuple[np.ndarray, fl
     w = np.maximum(w, 0.0)
     root = (vecs * np.sqrt(w)) @ vecs.T
     return root, clip
+
+
+def _psd_root_batch(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """PSD square roots of squared diffusions v (k, n, n) queried at x (k, n).
+
+    Scalar entries take a plain square root; matrices are symmetrized
+    and eigen-decomposed with round-off (down to -1e-10) clipped to zero.
+    """
+    if v.shape[1:] == (1, 1):
+        bad = v[:, 0, 0] < 0
+        if bad.any():
+            raise ConfigurationError(
+                f"squared diffusion negative at x={x[bad][0]!r}"
+            )
+        return np.sqrt(v)
+    w, vecs = np.linalg.eigh(0.5 * (v + np.transpose(v, (0, 2, 1))))
+    if w.min() < -1e-10:
+        k = int(np.argmin(w.min(axis=1)))
+        raise ConfigurationError(f"squared diffusion not PSD at x={x[k]!r}")
+    w = np.maximum(w, 0.0)
+    return np.einsum("kij,kj,klj->kil", vecs, np.sqrt(w), vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +306,7 @@ class ExactAveraged:
         return np.asarray(self._diff2(x), dtype=float)
 
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
-        v = self.diff2(x)
-        if v.shape[1:] == (1, 1):
-            if np.any(v < 0):
-                raise ConfigurationError("squared diffusion went negative")
-            return np.sqrt(v)
-        return np.stack([psd_sqrt(m)[0] for m in v])
+        return _psd_root_batch(self.diff2(x), x)
 
 
 @dataclass
@@ -358,22 +372,7 @@ class AveragedTable:
         return lo + w[:, None, None] * (hi - lo)
 
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
-        v = self.diff2(x)
-        if v.shape[1:] == (1, 1):
-            bad = v[:, 0, 0] < 0
-            if bad.any():
-                raise ConfigurationError(
-                    f"interpolated squared diffusion negative at x={x[bad][0]!r}"
-                )
-            return np.sqrt(v)
-        w, vecs = np.linalg.eigh(0.5 * (v + np.transpose(v, (0, 2, 1))))
-        if w.min() < -1e-10:
-            k = int(np.argmin(w.min(axis=1)))
-            raise ConfigurationError(
-                f"interpolated squared diffusion not PSD at x={x[k]!r}"
-            )
-        w = np.maximum(w, 0.0)
-        return np.einsum("kij,kj,klj->kil", vecs, np.sqrt(w), vecs)
+        return _psd_root_batch(self.diff2(x), x)
 
     def node_count(self) -> int:
         return int(self.drift_values.shape[0])
@@ -561,15 +560,13 @@ def poisson_cell(model: ModelSpec, x, y, *, t_cut: float, n_traj: int,
     avg_b_ci = np.broadcast_to(np.asarray(avg_b_ci, dtype=float), avg_b.shape)
 
     curve = MeanCurve(lambda states: model.slow_drift(states["x"], states["y"]))
-    integrals = _PerPathIntegral(
-        lambda states: model.slow_drift(states["x"], states["y"]))
     run_frozen_batch(model, x, y, horizon=t_cut, delta=delta, n_chains=n_traj,
-                     stream=stream, watchers=(curve, integrals))
+                     stream=stream, watchers=(curve,))
     times, means = curve.curve()
     gap = means - avg_b[None, :]
     gap_norm = np.linalg.norm(gap, axis=1)
 
-    per_path = integrals.value          # (n_traj, n)
+    per_path = curve.integral           # (n_traj, n)
     value = per_path.mean(axis=0) - avg_b * t_cut
     mc_ci = 1.96 * per_path.std(axis=0, ddof=1) / np.sqrt(n_traj)
     ci = mc_ci + t_cut * avg_b_ci
@@ -610,27 +607,6 @@ def poisson_cell(model: ModelSpec, x, y, *, t_cut: float, n_traj: int,
         )
     return PoissonCell(value=value, ci=ci, tail_bound=tail, decay_rate=rate,
                        times=times, gap=gap_norm, gap_ci=1.96 * point_se)
-
-
-class _PerPathIntegral:
-    """Trapezoid integral of fn(states) per path over the run."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.value = None
-        self._prev = None
-        self._t = 0.0
-
-    def start(self, states):
-        self._prev = np.asarray(self.fn(states))
-        self.value = np.zeros_like(self._prev)
-        self._t = 0.0
-
-    def observe(self, step, t, states):
-        val = np.asarray(self.fn(states))
-        self.value += 0.5 * (t - self._t) * (self._prev + val)
-        self._prev = val
-        self._t = t
 
 
 # ---------------------------------------------------------------------------
@@ -682,37 +658,3 @@ def ergodicity_decay(model: ModelSpec, x, y1, y2, *, times, n_pairs: int,
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayCurve(times=t_fit, msd=m_fit, gamma_hat=float(-slope), r2=r2,
                       ci_half=ci_fit)
-
-
-@dataclass
-class ConvergenceCurve:
-    times: np.ndarray
-    gap: np.ndarray
-    envelope_log_c: float | None
-    envelope_rate: float | None
-    r2: float | None
-
-
-def convergence_to_average(model: ModelSpec, x, y, *, horizon: float,
-                           n_traj: int, avg_b, delta: float,
-                           stream: RngStream) -> ConvergenceCurve:
-    """Gap curve |E b(x, Y_t^{x,y}) - drift_bar(x)| on the micro grid with a
-    fitted exponential envelope; the t = 0 point is |b(x, y) - drift_bar|
-    exactly. Used to size burn-in and corrector truncation."""
-    avg_b = np.atleast_1d(np.asarray(avg_b, dtype=float))
-    curve = MeanCurve(lambda states: model.slow_drift(states["x"], states["y"]))
-    run_frozen_batch(model, x, y, horizon=horizon, delta=delta,
-                     n_chains=n_traj, stream=stream, watchers=(curve,))
-    times, means = curve.curve()
-    gap = np.linalg.norm(means - avg_b[None, :], axis=1)
-    pos = gap > 0
-    if pos.sum() >= 4:
-        slope, intercept = np.polyfit(times[pos], np.log(gap[pos]), 1)
-        fitted = intercept + slope * times[pos]
-        lg = np.log(gap[pos])
-        ss_tot = float(np.sum((lg - lg.mean()) ** 2))
-        r2 = 1.0 - float(np.sum((lg - fitted) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-        return ConvergenceCurve(times=times, gap=gap, envelope_log_c=float(intercept),
-                                envelope_rate=float(-slope), r2=r2)
-    return ConvergenceCurve(times=times, gap=gap, envelope_log_c=None,
-                            envelope_rate=None, r2=None)

@@ -282,7 +282,7 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
                checkpoint_fracs=(0.25, 0.5, 0.75, 1.0),
                delta_policy: DeltaPolicy | None = None, n_boot: int = 1000,
                confidence: float = 0.95, scheme: str = "tamed_euler",
-               x0=0.0, y0=0.0, stream: RngStream = None) -> ErrorReport:
+               x0=0.0, y0=0.0, stream: RngStream) -> ErrorReport:
     """Weak error sweep: sup over checkpoints of |E phi(X^eps_t) - E phi(Xbar_t)|.
 
     coupled_difference drives both equations with the same noise (valid

@@ -4,7 +4,10 @@ One table-driven kernel integrates every dynamics in the toolkit: the
 coupled slow-fast system, the frozen fast equation, the pathwise-coupled
 averaged equation (shared Wiener increments and shared jump events for
 strong-error measurement), the weak-form averaged equation, and
-synchronously coupled fast pairs.
+synchronously coupled fast pairs. Each has one `run_*_batch` entry point;
+all five build, run and read out the kernel through one driver. A single
+path is a batch of one: `record=True` (with `n_paths=1`) returns it as a
+PathSample under `out["path"]`.
 
 Scheme: between jump events, drift increments are tamed,
 ``drift * dt / (1 + dt * |drift|)``, which keeps explicit stepping stable
@@ -30,10 +33,6 @@ __all__ = [
     "StepperConfig",
     "PathSample",
     "JumpEvent",
-    "simulate_slow_fast",
-    "simulate_frozen",
-    "simulate_pair_coupled",
-    "simulate_averaged_weak",
     "run_system_batch",
     "run_pair_batch",
     "run_frozen_batch",
@@ -388,10 +387,7 @@ class _Kernel:
             self.recorder = _Recorder([c.name for c in self.components], self.states)
         offsets, ev_p, ev_t, ev_c, ev_z = self._generate_events(n_steps)
 
-        cp_map: dict[int, float] = {}
-        for t_cp in checkpoints:
-            k = int(round(t_cp / dl))
-            cp_map[min(max(k, 1), n_steps) - 1] = float(t_cp)
+        cp_map = _checkpoint_steps(checkpoints, dl, T, n_steps)
         snapshots: dict[float, dict[str, np.ndarray]] = {}
 
         for w in watchers:
@@ -445,6 +441,29 @@ class _Kernel:
                 snapshots[cp_map[s]] = {c.name: self.states[c.name].copy()
                                         for c in self.components}
         return snapshots
+
+
+def _checkpoint_steps(checkpoints, delta, t_end, n_steps) -> dict[int, float]:
+    """Map each checkpoint to the index of the micro step that ends on it.
+
+    A checkpoint must lie in (0, t_end] on the delta grid (relative
+    tolerance 1e-9; t_end itself is always allowed), and no two may share
+    a step: snapping would silently relabel states from other times.
+    """
+    cp_map: dict[int, float] = {}
+    for t_cp in map(float, checkpoints):
+        if not 0 < t_cp <= t_end:
+            raise ConfigurationError(
+                f"checkpoint {t_cp!r} lies outside (0, t_end={t_end!r}]")
+        k = n_steps if t_cp == t_end else int(round(t_cp / delta))
+        if t_cp != t_end and abs(k * delta - t_cp) > 1e-9 * t_cp:
+            raise ConfigurationError(
+                f"checkpoint {t_cp!r} is off the delta={delta!r} grid")
+        if k - 1 in cp_map:
+            raise ConfigurationError(
+                f"checkpoints {cp_map[k - 1]!r} and {t_cp!r} fall on the same step")
+        cp_map[k - 1] = t_cp
+    return cp_map
 
 
 def _implicit_increment(comp, sub, s, dte):
@@ -569,6 +588,7 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, eps, twin=None):
     kernel.set_compensator(cy, model.fast_measure, _fast_jump_fn(model))
     if twin is not None:
         kernel.set_compensator(ct, model.slow_measure, _slow_jump_fn(model, "xt"))
+        kernel.track_sup("x", "xt")
 
 
 def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0, second_y0=None):
@@ -596,6 +616,8 @@ def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0, second_y0=None):
 
 
 def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
+    if not hasattr(avg, "diffusion_root"):
+        raise ConfigurationError("averaged coefficients lack squared-diffusion data")
     cx = kernel.add_component(
         "x", model.dim_slow, x0,
         drift=lambda sub: avg.drift(sub["x"]),
@@ -612,132 +634,77 @@ def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
 # ---------------------------------------------------------------------------
 
 
-def simulate_slow_fast(model: ModelSpec, x0, y0, cfg: StepperConfig,
-                       stream: RngStream) -> PathSample:
-    """One path of the coupled system on the jump-augmented micro grid."""
-    kernel = _Kernel(n_paths=1, t_end=cfg.t_end, delta=cfg.delta,
-                     scheme=cfg.scheme, stream=stream)
-    _build_slow_fast(kernel, model, x0, y0, cfg.epsilon)
-    kernel.run(record=True)
-    rec = kernel.recorder
-    return PathSample(
-        times=np.asarray(rec.times),
-        slow=rec.series("x"),
-        fast=rec.series("y"),
-        events=rec.events,
-    ).validate()
+def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
+           frozen=False, watchers=(), checkpoints=(), record=False):
+    """Build, run and read out one kernel; every batch entry point ends here.
 
-
-def simulate_frozen(model: ModelSpec, x, y0, horizon: float, delta: float,
-                    stream: RngStream, scheme: str = "tamed_euler") -> PathSample:
-    """One path of the fast equation with the slow state held at x."""
-    if not 0 < delta <= _MAX_FAST_SUBSTEP * (1 + 1e-12):
+    `outputs` maps result keys to the components whose terminal states
+    they hold. With `record`, `paths` maps result keys to the (slow, fast)
+    component names of a recorded PathSample, carrying the events that
+    hit those components.
+    """
+    if frozen and not 0 < delta <= _MAX_FAST_SUBSTEP * (1 + 1e-12):
         raise ConfigurationError("frozen dynamics require 0 < delta <= 1/16")
-    kernel = _Kernel(n_paths=1, t_end=horizon, delta=delta, scheme=scheme,
+    kernel = _Kernel(n_paths=n_paths, t_end=t_end, delta=delta, scheme=scheme,
                      stream=stream)
-    _build_frozen(kernel, model, x, y0)
-    kernel.run(record=True)
-    rec = kernel.recorder
-    return PathSample(
-        times=np.asarray(rec.times),
-        slow=None,
-        fast=rec.series("y"),
-        events=rec.events,
-    ).validate()
-
-
-def simulate_pair_coupled(model: ModelSpec, avg, x0, y0, cfg: StepperConfig,
-                          stream: RngStream):
-    """One coupled pair (slow-fast path, averaged path) sharing W1 and the
-    slow jump events/marks; returns both paths, the sup distance over the
-    augmented grid, and the terminal states."""
-    out = run_pair_batch(model, avg, x0, y0, cfg, n_paths=1, stream=stream,
-                         record=True)
-    return out["path_system"], out["path_averaged"], float(out["sup"][0]), (
-        out["terminal_system"][0], out["terminal_averaged"][0])
-
-
-def simulate_averaged_weak(model: ModelSpec, avg, x0, cfg: StepperConfig,
-                           stream: RngStream) -> PathSample:
-    """One path of the averaged equation driven by its own n-dimensional
-    Wiener process and its own slow jump stream, with diffusion equal to
-    the PSD square root of the averaged squared diffusion."""
-    if not hasattr(avg, "diffusion_root"):
-        raise ConfigurationError("averaged coefficients lack squared-diffusion data")
-    kernel = _Kernel(n_paths=1, t_end=cfg.t_end, delta=cfg.delta,
-                     scheme=cfg.scheme, stream=stream)
-    _build_averaged(kernel, model, avg, x0)
-    kernel.run(record=True)
-    rec = kernel.recorder
-    return PathSample(
-        times=np.asarray(rec.times),
-        slow=rec.series("x"),
-        fast=None,
-        events=rec.events,
-    ).validate()
+    build(kernel)
+    snaps = kernel.run(watchers=watchers, checkpoints=checkpoints, record=record)
+    out = {key: kernel.states[name].copy() for key, name in outputs.items()}
+    out["checkpoints"] = snaps
+    if kernel.running_sup is not None:
+        out["sup"] = kernel.running_sup.copy()
+    if record:
+        rec = kernel.recorder
+        times = np.asarray(rec.times)
+        for key, (slow, fast) in paths.items():
+            out[key] = PathSample(
+                times=times, slow=rec.series(slow), fast=rec.series(fast),
+                events=[e for e in rec.events if e.target in (slow, fast)],
+            ).validate()
+    return out
 
 
 def run_system_batch(model: ModelSpec, x0, y0, cfg: StepperConfig, n_paths: int,
-                     stream: RngStream, *, watchers=(), checkpoints=()):
-    """Vectorized batch of coupled slow-fast paths; returns terminal states
-    and checkpoint snapshots."""
-    kernel = _Kernel(n_paths=n_paths, t_end=cfg.t_end, delta=cfg.delta,
-                     scheme=cfg.scheme, stream=stream)
-    _build_slow_fast(kernel, model, x0, y0, cfg.epsilon)
-    snaps = kernel.run(watchers=watchers, checkpoints=checkpoints)
-    return {
-        "terminal_slow": kernel.states["x"].copy(),
-        "terminal_fast": kernel.states["y"].copy(),
-        "checkpoints": snaps,
-    }
+                     stream: RngStream, *, watchers=(), checkpoints=(),
+                     record: bool = False):
+    """Vectorized batch of coupled slow-fast paths; returns terminal states,
+    checkpoint snapshots and, with `record` (one path), the path."""
+    return _drive(lambda k: _build_slow_fast(k, model, x0, y0, cfg.epsilon),
+                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+                  outputs={"terminal_slow": "x", "terminal_fast": "y"},
+                  paths={"path": ("x", "y")}, watchers=watchers,
+                  checkpoints=checkpoints, record=record)
 
 
 def run_pair_batch(model: ModelSpec, avg, x0, y0, cfg: StepperConfig,
                    n_paths: int, stream: RngStream, *, checkpoints=(),
                    record: bool = False):
     """Coupled pairs (system, averaged) through identical W1 increments and
-    identical slow jump events; the strong-error workhorse."""
+    identical slow jump events; the strong-error workhorse. `sup` is the
+    per-pair sup distance over the jump-augmented grid."""
     if not model.sigma_y_independent:
         raise ConfigurationError(
             "pathwise coupling requires a slow diffusion independent of the fast state"
         )
-    kernel = _Kernel(n_paths=n_paths, t_end=cfg.t_end, delta=cfg.delta,
-                     scheme=cfg.scheme, stream=stream)
-    _build_slow_fast(kernel, model, x0, y0, cfg.epsilon, twin=avg)
-    kernel.track_sup("x", "xt")
-    snaps = kernel.run(checkpoints=checkpoints, record=record)
-    out = {
-        "sup": kernel.running_sup.copy(),
-        "terminal_system": kernel.states["x"].copy(),
-        "terminal_averaged": kernel.states["xt"].copy(),
-        "checkpoints": snaps,
-        "clamped": int(getattr(avg, "clamp_count", 0)),
-    }
-    if record:
-        rec = kernel.recorder
-        times = np.asarray(rec.times)
-        out["path_system"] = PathSample(
-            times=times, slow=rec.series("x"), fast=rec.series("y"),
-            events=[e for e in rec.events if e.target in ("x", "y")],
-        ).validate()
-        out["path_averaged"] = PathSample(
-            times=times, slow=rec.series("xt"), fast=None,
-            events=[e for e in rec.events if e.target == "xt"],
-        ).validate()
+    out = _drive(lambda k: _build_slow_fast(k, model, x0, y0, cfg.epsilon, twin=avg),
+                 n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+                 outputs={"terminal_system": "x", "terminal_averaged": "xt"},
+                 paths={"path_system": ("x", "y"), "path_averaged": ("xt", None)},
+                 checkpoints=checkpoints, record=record)
+    out["clamped"] = int(getattr(avg, "clamp_count", 0))
     return out
 
 
 def run_frozen_batch(model: ModelSpec, x, y0, horizon: float, delta: float,
                      n_chains: int, stream: RngStream, *, watchers=(),
-                     checkpoints=(), scheme: str = "tamed_euler"):
-    """Vectorized frozen-equation chains at a fixed slow state."""
-    if not 0 < delta <= _MAX_FAST_SUBSTEP * (1 + 1e-12):
-        raise ConfigurationError("frozen dynamics require 0 < delta <= 1/16")
-    kernel = _Kernel(n_paths=n_chains, t_end=horizon, delta=delta, scheme=scheme,
-                     stream=stream)
-    _build_frozen(kernel, model, x, y0)
-    snaps = kernel.run(watchers=watchers, checkpoints=checkpoints)
-    return {"terminal_fast": kernel.states["y"].copy(), "checkpoints": snaps}
+                     checkpoints=(), scheme: str = "tamed_euler",
+                     record: bool = False):
+    """Vectorized frozen-equation chains at a fixed slow state; with
+    `record` (one chain), the path of the fast state."""
+    return _drive(lambda k: _build_frozen(k, model, x, y0),
+                  n_chains, horizon, delta, scheme, stream, frozen=True,
+                  outputs={"terminal_fast": "y"}, paths={"path": (None, "y")},
+                  watchers=watchers, checkpoints=checkpoints, record=record)
 
 
 def run_frozen_pair_batch(model: ModelSpec, x, y0_a, y0_b, horizon: float,
@@ -745,22 +712,18 @@ def run_frozen_pair_batch(model: ModelSpec, x, y0_a, y0_b, horizon: float,
                           watchers=()):
     """Synchronously coupled frozen pairs: same Wiener path, same jump
     events and marks, same slow state."""
-    if not 0 < delta <= _MAX_FAST_SUBSTEP * (1 + 1e-12):
-        raise ConfigurationError("frozen dynamics require 0 < delta <= 1/16")
-    kernel = _Kernel(n_paths=n_pairs, t_end=horizon, delta=delta,
-                     scheme="tamed_euler", stream=stream)
-    _build_frozen(kernel, model, x, y0_a, second_y0=y0_b)
-    kernel.run(watchers=watchers)
-    return {"final_a": kernel.states["y"].copy(),
-            "final_b": kernel.states["y2"].copy()}
+    return _drive(lambda k: _build_frozen(k, model, x, y0_a, second_y0=y0_b),
+                  n_pairs, horizon, delta, "tamed_euler", stream, frozen=True,
+                  outputs={"final_a": "y", "final_b": "y2"}, watchers=watchers)
 
 
 def run_averaged_batch(model: ModelSpec, avg, x0, cfg: StepperConfig,
                        n_paths: int, stream: RngStream, *, watchers=(),
-                       checkpoints=()):
-    """Vectorized batch of weak-form averaged paths."""
-    kernel = _Kernel(n_paths=n_paths, t_end=cfg.t_end, delta=cfg.delta,
-                     scheme=cfg.scheme, stream=stream)
-    _build_averaged(kernel, model, avg, x0)
-    snaps = kernel.run(watchers=watchers, checkpoints=checkpoints)
-    return {"terminal_slow": kernel.states["x"].copy(), "checkpoints": snaps}
+                       checkpoints=(), record: bool = False):
+    """Vectorized batch of weak-form averaged paths, driven by their own
+    Wiener process and slow jump stream, with diffusion equal to the PSD
+    root of the averaged squared diffusion."""
+    return _drive(lambda k: _build_averaged(k, model, avg, x0),
+                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+                  outputs={"terminal_slow": "x"}, paths={"path": ("x", None)},
+                  watchers=watchers, checkpoints=checkpoints, record=record)

@@ -156,46 +156,27 @@ class ModelSpec:
                 )
 
 
-def _flat(fn):
-    """Lift fn(x_flat, y_flat) -> flat into the (P, 1) batch convention."""
+def _lift(fn, signature="xy", axes=1):
+    """Lift flat coefficient fn into the (paths, 1) batch convention.
 
-    def call(x, y):
-        out = np.asarray(fn(x[:, 0], y[:, 0]), dtype=float)
+    signature "xy" maps fn(x, y), "xz" fn(x, z) and "xyz" fn(x, y, z),
+    where states arrive as (paths, 1) columns and marks as flat arrays.
+    The flat output gains `axes` trailing unit axes; a constant output is
+    broadcast over the batch.
+    """
+    expand = (slice(None),) + (None,) * axes
+
+    def batch(x, out):
+        out = np.asarray(out, dtype=float)
         if out.ndim == 0:
             out = np.full(x.shape[0], float(out))
-        return out[:, None]
+        return out[expand]
 
-    return call
-
-
-def _flat_diffusion(fn):
-    def call(x, y):
-        out = np.asarray(fn(x[:, 0], y[:, 0]), dtype=float)
-        if out.ndim == 0:
-            out = np.full(x.shape[0], float(out))
-        return out[:, None, None]
-
-    return call
-
-
-def _flat_jump_slow(fn):
-    def call(x, z):
-        out = np.asarray(fn(x[:, 0], np.asarray(z, dtype=float)), dtype=float)
-        if out.ndim == 0:
-            out = np.full(x.shape[0], float(out))
-        return out[:, None]
-
-    return call
-
-
-def _flat_jump_fast(fn):
-    def call(x, y, z):
-        out = np.asarray(fn(x[:, 0], y[:, 0], np.asarray(z, dtype=float)), dtype=float)
-        if out.ndim == 0:
-            out = np.full(x.shape[0], float(out))
-        return out[:, None]
-
-    return call
+    if signature == "xz":
+        return lambda x, z: batch(x, fn(x[:, 0], np.asarray(z, dtype=float)))
+    if signature == "xyz":
+        return lambda x, y, z: batch(x, fn(x[:, 0], y[:, 0], np.asarray(z, dtype=float)))
+    return lambda x, y: batch(x, fn(x[:, 0], y[:, 0]))
 
 
 def _as_fn(value, arity):
@@ -233,12 +214,12 @@ def scalar_model(
         dim_fast=1,
         dw_slow=1,
         dw_fast=1,
-        slow_drift=_flat(_as_fn(b, 2)),
-        slow_diffusion=_flat_diffusion(_as_fn(sigma, 2)),
-        slow_jump=_flat_jump_slow(_as_fn(h1, 2)),
-        fast_drift=_flat(_as_fn(f, 2)),
-        fast_diffusion=_flat_diffusion(_as_fn(g, 2)),
-        fast_jump=_flat_jump_fast(_as_fn(h2, 3)),
+        slow_drift=_lift(_as_fn(b, 2)),
+        slow_diffusion=_lift(_as_fn(sigma, 2), axes=2),
+        slow_jump=_lift(_as_fn(h1, 2), "xz"),
+        fast_drift=_lift(_as_fn(f, 2)),
+        fast_diffusion=_lift(_as_fn(g, 2), axes=2),
+        fast_jump=_lift(_as_fn(h2, 3), "xyz"),
         slow_measure=nu1 if nu1 is not None else default_jump_measure(),
         fast_measure=nu2 if nu2 is not None else default_jump_measure(),
         sigma_y_independent=sigma_y_independent,

@@ -23,11 +23,7 @@ __all__ = [
     "Uniform",
     "TruncatedGaussian",
     "JumpMeasureSpec",
-    "sample_jump_times",
     "sample_jump_times_batch",
-    "sample_jump_size",
-    "compensator_rate",
-    "jump_expectation",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -270,28 +266,6 @@ def default_jump_measure(intensity: float = 1.0) -> JumpMeasureSpec:
 # ---------------------------------------------------------------------------
 
 
-def sample_jump_times(intensity: float, horizon: float, stream) -> np.ndarray:
-    """Event times of a constant-rate Poisson stream on (0, horizon].
-
-    Exponential inter-arrival construction; strictly increasing output.
-    """
-    if intensity < 0:
-        raise ConfigurationError("intensity must be nonnegative")
-    if not horizon > 0:
-        raise ConfigurationError("horizon must be positive")
-    if intensity == 0:
-        return np.empty(0)
-    gen = as_generator(stream)
-    mean_count = intensity * horizon
-    block = max(16, int(mean_count + 6.0 * np.sqrt(mean_count) + 16))
-    gaps = gen.exponential(1.0 / intensity, block)
-    times = np.cumsum(gaps)
-    while times[-1] <= horizon:
-        more = gen.exponential(1.0 / intensity, block)
-        times = np.concatenate([times, times[-1] + np.cumsum(more)])
-    return times[times <= horizon]
-
-
 def sample_jump_times_batch(
     intensity: float, horizon: float, n_paths: int, stream
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,26 +288,3 @@ def sample_jump_times_batch(
     paths = np.repeat(np.arange(n_paths, dtype=np.int64), counts)
     order = np.lexsort((times, paths))
     return paths[order], times[order]
-
-
-def sample_jump_size(spec: JumpMeasureSpec, stream, size: int | None = None):
-    """Draw mark(s) from the measure's size family."""
-    gen = as_generator(stream)
-    out = spec.size.sample(gen, 1 if size is None else size)
-    return float(out[0]) if size is None else out
-
-
-def compensator_rate(spec: JumpMeasureSpec) -> float:
-    """First moment of the measure, intensity * m1 = integral of z nu(dz)."""
-    return float(spec.intensity) * float(spec.m1)
-
-
-def jump_expectation(spec: JumpMeasureSpec, fn, n_nodes: int = 64):
-    """intensity * E[fn(Z)] by quadrature over the mark law.
-
-    `fn` maps a mark array (k,) to values (k,) or (k, d); the return value
-    carries the same trailing shape.
-    """
-    nodes, weights = spec.size.quadrature(n_nodes)
-    vals = np.asarray(fn(nodes))
-    return float(spec.intensity) * np.tensordot(weights, vals, axes=(0, 0))

@@ -1,0 +1,79 @@
+"""The benchmark's tracer and worker wrap mslevy functions by name.
+
+bench/tracer.py replaces the batch entry points, estimator stages and
+per-step leaves with timing wrappers, and bench/worker.py calls the CLI.
+A rename or a changed argument name would only surface when
+`bench/run.py --trace 1` runs; these checks catch it in the test suite.
+"""
+
+import dataclasses
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from mslevy import cli, ergodic, estimate, integrate, model, rng
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """bench/tracer.py, imported without installing anything."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
+
+
+def _params(fn):
+    return set(inspect.signature(fn).parameters)
+
+
+def test_kernel_entry_points_keep_the_arguments_the_tracer_reads(tracer):
+    assert len(tracer._KERNELS) == 5
+    for name in tracer._KERNELS:
+        params = _params(getattr(integrate, name))
+        assert "cfg" in params or {"horizon", "delta"} <= params, name
+        assert params & {"n_paths", "n_chains", "n_pairs"}, name
+    # kernel_before reads the horizon and step from the config
+    cfg = integrate.StepperConfig(epsilon=1.0, delta=2**-6, t_end=1.0)
+    assert (cfg.t_end, cfg.delta) == (1.0, 2**-6)
+
+
+def test_wrapped_names_exist(tracer):
+    for mod, name in ((rng, "sample_jump_times_batch"),
+                      (ergodic, "build_averaged_table"),
+                      (ergodic, "estimate_invariant_measure"),
+                      (ergodic, "poisson_cell"),
+                      (ergodic, "load_averaged_table"),
+                      (estimate, "strong_error"),
+                      (estimate, "bootstrap_ci"),
+                      (model, "compile_expression"),
+                      (cli, "get_model"),
+                      (cli, "run")):
+        assert callable(getattr(mod, name)), f"{mod.__name__}.{name}"
+    assert "n_boot" in _params(estimate.bootstrap_ci)
+    assert {"command", "config_path", "out_dir"} <= _params(cli.run)
+    for cls, attr in ((ergodic.AveragedTable, "drift"),
+                      (ergodic.AveragedTable, "diffusion_root"),
+                      (ergodic.InvariantSample, "mean_ci"),
+                      (rng.RngStream, "generator")):
+        assert callable(getattr(cls, attr)), f"{cls.__name__}.{attr}"
+    assert "samples" in {f.name for f in dataclasses.fields(ergodic.InvariantSample)}
+    fields = {f.name for f in dataclasses.fields(model.ModelSpec)}
+    assert set(tracer._COEFFICIENTS) <= fields
+
+
+def test_patched_names_are_looked_up_at_call_time():
+    # the tracer replaces module attributes, so callers must not bind them early
+    assert "compile_expression" in model.model_from_config.__code__.co_names
+    assert "get_model" in cli.run.__code__.co_names
+    for fn in (estimate.strong_error, estimate.weak_error):
+        assert {"_integrate", "run_pair_batch"} <= set(fn.__code__.co_names)

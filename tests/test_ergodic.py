@@ -10,7 +10,6 @@ from mslevy.ergodic import (
     averaged_diffusion,
     averaged_drift,
     build_averaged_table,
-    convergence_to_average,
     ergodicity_decay,
     estimate_invariant_measure,
     load_averaged_table,
@@ -299,21 +298,20 @@ class TestConvergenceToAverage:
     def test_fast_independent_gap_zero(self):
         m = scalar_model("bxonly", b=lambda x, y: 2.0 * x, sigma=1.0,
                          f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
-        conv = convergence_to_average(m, 1.0, 0.5, horizon=2.0, n_traj=64,
-                                      avg_b=2.0, delta=2**-6,
-                                      stream=RngStream(116))
-        assert np.all(conv.gap == 0.0)
+        cell = poisson_cell(m, 1.0, 0.5, t_cut=2.0, n_traj=64, delta=2**-6,
+                            avg_b=2.0, stream=RngStream(116))
+        assert np.all(cell.gap == 0.0)
 
     def test_jump_ou_exponential_gap(self):
         a, y0 = 0.7, 1.7
-        conv = convergence_to_average(jump_ou(a), 0.0, y0, horizon=3.0,
-                                      n_traj=4096, delta=2**-8, avg_b=a,
-                                      stream=RngStream(117))
-        assert conv.gap[0] == pytest.approx(abs(y0 - a), abs=1e-12)  # t = 0 exact
+        cell = poisson_cell(jump_ou(a), 0.0, y0, t_cut=3.0, n_traj=4096,
+                            delta=2**-8, avg_b=a, stream=RngStream(117))
+        assert cell.gap[0] == pytest.approx(abs(y0 - a), abs=1e-12)  # t = 0 exact
         k = int(round(1.0 / 2**-8))
+        assert cell.times[k] == 1.0
         want = np.exp(-1.0) * abs(y0 - a)
-        assert conv.gap[k] == pytest.approx(want, rel=0.1)
-        assert conv.envelope_rate == pytest.approx(1.0, rel=0.15)
+        assert cell.gap[k] == pytest.approx(want, rel=0.1)
+        assert cell.decay_rate == pytest.approx(1.0, rel=0.15)
 
 
 class TestCorrectorGrowthEnvelope:

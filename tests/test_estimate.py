@@ -201,6 +201,12 @@ class TestWeakError:
                        eps=[0.1, 0.05, 0.025], t_end=1.0, n_paths=4,
                        mode="independent", stream=RngStream(1))
 
+    def test_stream_is_required(self):
+        with pytest.raises(TypeError, match="stream"):
+            weak_error(_fast_free_model(), ExactAveraged(lambda x: -x),
+                       make_test_function("identity"), eps=[2**-2, 2**-4, 2**-6],
+                       t_end=1.0, n_paths=4)
+
 
 class TestTestFunctions:
     def test_registry(self):

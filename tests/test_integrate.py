@@ -1,34 +1,23 @@
 import numpy as np
 import pytest
 
+from mslevy.ergodic import ExactAveraged
 from mslevy.errors import BlowUpError, ConfigurationError
 from mslevy.integrate import (
     StepperConfig,
+    run_averaged_batch,
     run_frozen_batch,
     run_pair_batch,
     run_system_batch,
-    simulate_frozen,
-    simulate_pair_coupled,
-    simulate_slow_fast,
 )
 from mslevy.model import example_2_7, scalar_model
-from mslevy.rng import JumpMeasureSpec, PointMass, RngStream, Uniform
+from mslevy.rng import JumpMeasureSpec, PointMass, RngStream
 
 
-class ExactAveraged:
-    """Function-valued averaged coefficients for degeneracy checks."""
-
-    def __init__(self, drift_flat, diff2_flat=None):
-        self._drift = drift_flat
-        self._diff2 = diff2_flat
-        self.clamp_count = 0
-
-    def drift(self, x):
-        return np.asarray(self._drift(x[:, 0]), dtype=float).reshape(len(x), 1)
-
-    def diffusion_root(self, x):
-        v = np.asarray(self._diff2(x[:, 0]), dtype=float).reshape(len(x), 1)
-        return np.sqrt(v)[:, :, None]
+def _one_path(model, x0, y0, cfg, seed):
+    """A single recorded slow-fast path."""
+    return run_system_batch(model, x0, y0, cfg, n_paths=1, stream=RngStream(seed),
+                            record=True)["path"]
 
 
 def _ou_model(**kw):
@@ -61,7 +50,7 @@ class TestZeroAndJumpDynamics:
                          h1=lambda x, z: np.zeros_like(z),
                          f=lambda x, y: -y, g=1.0)
         cfg = StepperConfig(epsilon=0.25, delta=2**-7, t_end=1.0)
-        path = simulate_slow_fast(m, 1.5, 0.0, cfg, RngStream(1))
+        path = _one_path(m, 1.5, 0.0, cfg, 1)
         np.testing.assert_array_equal(path.slow[:, 0], 1.5)
 
     def test_pure_jump_compensated_bookkeeping(self):
@@ -70,7 +59,7 @@ class TestZeroAndJumpDynamics:
         m = scalar_model("purejump", b=0.0, sigma=0.0, f=lambda x, y: -y, g=1.0,
                          nu1=nu1)
         cfg = StepperConfig(epsilon=0.25, delta=2**-7, t_end=1.0)
-        path = simulate_slow_fast(m, 0.0, 0.0, cfg, RngStream(2))
+        path = _one_path(m, 0.0, 0.0, cfg, 2)
         n_slow = sum(1 for e in path.events if e.channel == "slow")
         assert n_slow > 0
         expect = 0.3 * n_slow - 0.6 * 1.0
@@ -79,7 +68,7 @@ class TestZeroAndJumpDynamics:
     def test_replay_reconstructs_discontinuities_exactly(self):
         m = example_2_7("state_linear")
         cfg = StepperConfig(epsilon=2**-4, delta=2**-9, t_end=1.0)
-        path = simulate_slow_fast(m, 1.0, 1.0, cfg, RngStream(3))
+        path = _one_path(m, 1.0, 1.0, cfg, 3)
         assert len(path.events) > 0
         assert path.replay_jumps(m)
         path.validate()
@@ -87,7 +76,7 @@ class TestZeroAndJumpDynamics:
     def test_augmented_grid_contains_event_times(self):
         m = example_2_7("state_linear")
         cfg = StepperConfig(epsilon=2**-4, delta=2**-9, t_end=1.0)
-        path = simulate_slow_fast(m, 1.0, 1.0, cfg, RngStream(3))
+        path = _one_path(m, 1.0, 1.0, cfg, 3)
         times = set(path.times.tolist())
         for ev in path.events:
             assert ev.time in times
@@ -96,14 +85,15 @@ class TestZeroAndJumpDynamics:
 class TestFrozen:
     def test_linear_ode_limit(self):
         m = _ou_model(g=0.0, h2=lambda x, y, z: np.zeros_like(z))
-        path = simulate_frozen(m, 0.0, 2.0, horizon=1.0, delta=2**-8,
-                               stream=RngStream(4))
+        path = run_frozen_batch(m, 0.0, 2.0, horizon=1.0, delta=2**-8, n_chains=1,
+                                stream=RngStream(4), record=True)["path"]
+        assert path.slow is None
         assert abs(path.fast[-1, 0] - 2.0 * np.exp(-1.0)) <= 0.05
 
     def test_delta_guard(self):
         with pytest.raises(ConfigurationError):
-            simulate_frozen(_ou_model(), 0.0, 1.0, horizon=1.0, delta=0.25,
-                            stream=RngStream(5))
+            run_frozen_batch(_ou_model(), 0.0, 1.0, horizon=1.0, delta=0.25,
+                             n_chains=1, stream=RngStream(5))
 
     def test_compensated_jumps_keep_mean(self):
         # h2 = z only, mean-zero marks: compensated martingale, E Y_t = y0
@@ -152,7 +142,7 @@ class TestSchemes:
         for scheme in ("tamed_euler", "euler"):
             cfg = StepperConfig(epsilon=0.25, delta=2**-10, t_end=1.0,
                                 scheme=scheme)
-            path = simulate_slow_fast(m, 1.0, 0.5, cfg, RngStream(8))
+            path = _one_path(m, 1.0, 0.5, cfg, 8)
             ends[scheme] = path.slow[-1, 0]
         assert abs(ends["tamed_euler"] - ends["euler"]) < 1e-2
 
@@ -161,7 +151,7 @@ class TestSchemes:
                       h1=lambda x, z: np.zeros_like(z))
         cfg = StepperConfig(epsilon=0.25, delta=2**-8, t_end=1.0,
                             scheme="split_step_implicit")
-        path = simulate_slow_fast(m, 2.0, 0.0, cfg, RngStream(9))
+        path = _one_path(m, 2.0, 0.0, cfg, 9)
         assert abs(path.slow[-1, 0] - 2.0 * np.exp(-1.0)) < 0.02
 
     def test_split_step_cross_checks_tamed_on_example_2_7(self):
@@ -220,8 +210,10 @@ class TestPairCoupling:
         m = example_2_7("state_linear")
         avg = ExactAveraged(lambda x: -x * x * x + x)
         cfg = StepperConfig(epsilon=2**-4, delta=2**-9, t_end=0.5)
-        p_sys, p_avg, sup, (xe, xa) = simulate_pair_coupled(
-            m, avg, 1.0, 1.0, cfg, RngStream(14))
+        out = run_pair_batch(m, avg, 1.0, 1.0, cfg, n_paths=1, stream=RngStream(14),
+                             record=True)
+        p_sys, p_avg, sup = out["path_system"], out["path_averaged"], out["sup"][0]
+        xe, xa = out["terminal_system"][0], out["terminal_averaged"][0]
         assert p_sys.slow.shape == p_avg.slow.shape
         np.testing.assert_array_equal(p_sys.times, p_avg.times)
         grid_sup = np.max(np.abs(p_sys.slow - p_avg.slow))
@@ -229,18 +221,47 @@ class TestPairCoupling:
         assert xe[0] == p_sys.slow[-1, 0] and xa[0] == p_avg.slow[-1, 0]
 
 
+def _drift_only_model():
+    """dX = dt exactly, no noise and no jump increments."""
+    return scalar_model("driftonly", b=1.0, sigma=0.0,
+                        h1=lambda x, z: np.zeros_like(z),
+                        f=lambda x, y: -y, g=0.0,
+                        h2=lambda x, y, z: np.zeros_like(z),
+                        sigma_y_independent=True)
+
+
 class TestCheckpointsAndBlowup:
     def test_checkpoints_match_deterministic_motion(self):
-        m = scalar_model("driftonly", b=1.0, sigma=0.0,
-                         h1=lambda x, z: np.zeros_like(z),
-                         f=lambda x, y: -y, g=0.0,
-                         h2=lambda x, y, z: np.zeros_like(z),
-                         sigma_y_independent=True)
         cfg = StepperConfig(epsilon=0.25, delta=2**-8, t_end=1.0, scheme="euler")
-        out = run_system_batch(m, 0.0, 0.0, cfg, n_paths=3, stream=RngStream(15),
-                               checkpoints=(0.25, 0.5, 1.0))
+        out = run_system_batch(_drift_only_model(), 0.0, 0.0, cfg, n_paths=3,
+                               stream=RngStream(15), checkpoints=(0.25, 0.5, 1.0))
         for t, snap in out["checkpoints"].items():
             np.testing.assert_allclose(snap["x"][:, 0], t, atol=1e-12)
+
+    def test_unaligned_checkpoints_rejected(self):
+        # delta = 0.1 would otherwise return the states at 0.3 and 0.4
+        # labelled 0.33 and 0.37
+        cfg = StepperConfig(epsilon=2.0, delta=0.1, t_end=1.0, scheme="euler")
+        for bad in ((0.33,), (0.37,), (0.3, 0.33), (0.5, 0.5), (0.0,), (-0.1,),
+                    (1.1,)):
+            with pytest.raises(ConfigurationError):
+                run_system_batch(_drift_only_model(), 0.0, 0.0, cfg, n_paths=2,
+                                 stream=RngStream(15), checkpoints=bad)
+        out = run_system_batch(_drift_only_model(), 0.0, 0.0, cfg, n_paths=2,
+                               stream=RngStream(15), checkpoints=(0.3, 0.4, 1.0))
+        assert sorted(out["checkpoints"]) == [0.3, 0.4, 1.0]
+        for t, snap in out["checkpoints"].items():
+            np.testing.assert_allclose(snap["x"][:, 0], t, atol=1e-12)
+
+    def test_t_end_checkpoint_off_grid_is_the_final_state(self):
+        # t_end = 1.0 is not a multiple of delta = 0.3; the last step is short
+        cfg = StepperConfig(epsilon=5.0, delta=0.3, t_end=1.0, scheme="euler")
+        out = run_system_batch(_drift_only_model(), 0.0, 0.0, cfg, n_paths=2,
+                               stream=RngStream(15), checkpoints=(0.9, 1.0))
+        np.testing.assert_allclose(out["checkpoints"][0.9]["x"][:, 0], 0.9, atol=1e-12)
+        np.testing.assert_array_equal(out["checkpoints"][1.0]["x"],
+                                      out["terminal_slow"])
+        np.testing.assert_allclose(out["terminal_slow"][:, 0], 1.0, atol=1e-12)
 
     def test_blow_up_aborts_with_diagnostic(self):
         m = scalar_model("explode", b=lambda x, y: x * x * x, sigma=0.0,
@@ -281,9 +302,6 @@ class TestMomentStability:
 
 class TestAveragedWeak:
     def test_unit_diffusion_terminal_variance(self):
-        from mslevy.ergodic import ExactAveraged
-        from mslevy.integrate import run_averaged_batch
-
         m = scalar_model("flat", b=0.0, sigma=1.0,
                          h1=lambda x, z: np.zeros_like(z),
                          f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
@@ -296,8 +314,6 @@ class TestAveragedWeak:
         assert abs(var - 1.0) < 0.05
 
     def test_scalar_roots(self):
-        from mslevy.ergodic import ExactAveraged
-
         avg = ExactAveraged(lambda x: 0.0 * x,
                             lambda x: np.full((len(x), 1, 1), 4.0))
         assert avg.diffusion_root(np.zeros((3, 1)))[0, 0, 0] == 2.0
@@ -306,14 +322,14 @@ class TestAveragedWeak:
         assert unit.diffusion_root(np.zeros((3, 1)))[0, 0, 0] == 1.0
 
     def test_single_path_api(self):
-        from mslevy.ergodic import ExactAveraged
-        from mslevy.integrate import simulate_averaged_weak
-
         m = example_2_7("state_linear")
         avg = ExactAveraged(lambda x: -x * x * x + x,
                             lambda x: (x * x)[:, :, None])
         cfg = StepperConfig(epsilon=0.25, delta=2**-8, t_end=0.5)
-        path = simulate_averaged_weak(m, avg, 1.0, cfg, RngStream(61))
+        out = run_averaged_batch(m, avg, 1.0, cfg, n_paths=1, stream=RngStream(61),
+                                 record=True)
+        path = out["path"]
+        np.testing.assert_array_equal(path.slow[-1], out["terminal_slow"][0])
         assert path.fast is None
         assert np.isfinite(path.slow).all()
         path.validate()
@@ -323,7 +339,7 @@ class TestTraceDump:
     def test_csv_columns_and_event_flags(self, tmp_path):
         m = example_2_7("state_linear")
         cfg = StepperConfig(epsilon=2**-4, delta=2**-8, t_end=0.5)
-        path = simulate_slow_fast(m, 1.0, 1.0, cfg, RngStream(62))
+        path = _one_path(m, 1.0, 1.0, cfg, 62)
         f = tmp_path / "trace.csv"
         path.save_csv(f)
         lines = f.read_text().splitlines()

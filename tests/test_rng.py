@@ -9,13 +9,13 @@ from mslevy.rng import (
     RngStream,
     TruncatedGaussian,
     Uniform,
-    compensator_rate,
     default_jump_measure,
-    jump_expectation,
-    sample_jump_size,
-    sample_jump_times,
     sample_jump_times_batch,
 )
+
+
+def _marks(spec, stream, size):
+    return spec.size.sample(stream.generator(), size)
 
 
 def test_same_key_bit_identical():
@@ -43,29 +43,34 @@ def test_distinct_stream_ids_uncorrelated():
 
 
 def test_jump_times_zero_rate_empty():
-    assert sample_jump_times(0.0, 1.0, RngStream(1)).size == 0
+    paths, times = sample_jump_times_batch(0.0, 1.0, 8, RngStream(1))
+    assert paths.size == 0 and times.size == 0
 
 
 def test_jump_times_validation():
     with pytest.raises(ConfigurationError):
-        sample_jump_times(-1.0, 1.0, RngStream(1))
+        sample_jump_times_batch(-1.0, 1.0, 8, RngStream(1))
     with pytest.raises(ConfigurationError):
-        sample_jump_times(1.0, 0.0, RngStream(1))
+        sample_jump_times_batch(1.0, 0.0, 8, RngStream(1))
 
 
 def test_jump_times_strictly_increasing_within_horizon():
-    t = sample_jump_times(30.0, 2.0, RngStream(5, 1))
-    assert np.all(np.diff(t) > 0)
-    assert t[0] > 0 and t[-1] <= 2.0
+    paths, t = sample_jump_times_batch(30.0, 2.0, 64, RngStream(5, 1))
+    assert np.all(np.diff(paths) >= 0)
+    same = paths[1:] == paths[:-1]
+    assert np.all(np.diff(t)[same] > 0)
+    assert t.min() > 0 and t.max() <= 2.0
 
 
 def test_zero_event_fraction_matches_poisson_pmf():
-    # P(N=0) for rate 2 over T=1 is exp(-2); binomial oracle over many streams.
+    # P(N=0) for rate 2 over T=1 is exp(-2); binomial oracle over many
+    # paths, from one wide draw and from many single-path streams.
     n_streams = 100_000
     lam = 2.0
-    counts = np.array(
-        [sample_jump_times(lam, 1.0, RngStream(42, i)).size for i in range(3000)]
-    )
+    counts = np.array([
+        sample_jump_times_batch(lam, 1.0, 1, RngStream(42, i))[0].size
+        for i in range(3000)
+    ])
     paths, _ = sample_jump_times_batch(lam, 1.0, n_streams, RngStream(42).child("bulk"))
     bulk_counts = np.bincount(paths, minlength=n_streams)
     p0 = np.exp(-lam)
@@ -87,20 +92,20 @@ def test_mean_count_matches_rate_times_horizon():
 
 def test_point_mass_samples_constant():
     spec = JumpMeasureSpec(intensity=1.0, size=PointMass(0.3))
-    z = sample_jump_size(spec, RngStream(3), size=100)
+    z = _marks(spec, RngStream(3), 100)
     np.testing.assert_array_equal(z, 0.3)
 
 
 def test_uniform_second_moment():
     spec = default_jump_measure()
-    z = sample_jump_size(spec, RngStream(11), size=1_000_000)
+    z = _marks(spec, RngStream(11), 1_000_000)
     assert abs(np.mean(z * z) - 1.0 / 12.0) < 0.01 / 12.0
 
 
 def test_truncated_gaussian_support_and_moments():
     fam = TruncatedGaussian(mu=0.0, sd=0.2, bound=1.0)
     spec = JumpMeasureSpec(intensity=1.0, size=fam)
-    z = sample_jump_size(spec, RngStream(13), size=200_000)
+    z = _marks(spec, RngStream(13), 200_000)
     assert np.all(np.abs(z) <= 1.0)
     m1, m2 = fam.moments()
     for emp, ana in ((z.mean(), m1), ((z * z).mean(), m2)):
@@ -114,7 +119,7 @@ def test_truncated_gaussian_support_and_moments():
 )
 def test_empirical_moments_match_declared(fam):
     spec = JumpMeasureSpec(intensity=1.0, size=fam)
-    z = sample_jump_size(spec, RngStream(17).child(repr(fam)), size=1_000_000)
+    z = _marks(spec, RngStream(17).child(repr(fam)), 1_000_000)
     sd1 = max(z.std(ddof=1), 1e-9)
     sd2 = max((z * z).std(ddof=1), 1e-9)
     assert abs(z.mean() - spec.m1) < 4 * sd1 / np.sqrt(z.size)
@@ -130,12 +135,15 @@ def test_declared_moment_mismatch_rejected():
     JumpMeasureSpec(intensity=2.0, size=PointMass(0.3), m1=0.3, m2=0.09)
 
 
-def test_compensator_rate_values():
-    assert compensator_rate(default_jump_measure(1.0)) == 0.0
-    assert compensator_rate(JumpMeasureSpec(2.0, PointMass(0.3))) == pytest.approx(0.6)
+def test_compensator_first_moment_values():
+    # the compensator of the mark-linear jump map is intensity * m1
+    spec = default_jump_measure(1.0)
+    assert spec.intensity * spec.m1 == 0.0
+    spec = JumpMeasureSpec(2.0, PointMass(0.3))
+    assert spec.intensity * spec.m1 == pytest.approx(0.6)
 
 
-def test_compensator_rate_truncated_gaussian_quadrature_oracle():
+def test_compensator_truncated_gaussian_quadrature_oracle():
     fam = TruncatedGaussian(mu=0.1, sd=0.2, bound=1.0)
     spec = JumpMeasureSpec(intensity=1.0, size=fam)
 
@@ -145,13 +153,18 @@ def test_compensator_rate_truncated_gaussian_quadrature_oracle():
         return stats.norm.pdf(z, 0.1, 0.2) / (b - a)
 
     oracle, _ = integrate.quad(lambda z: z * density(z), -1.0, 1.0)
-    assert compensator_rate(spec) == pytest.approx(oracle, abs=1e-10)
+    assert spec.intensity * spec.m1 == pytest.approx(oracle, abs=1e-10)
+    nodes, weights = fam.quadrature(64)
+    assert weights @ nodes == pytest.approx(oracle, abs=1e-10)
 
 
-def test_jump_expectation_matches_moments():
-    spec = default_jump_measure(3.0)
-    assert jump_expectation(spec, lambda z: z) == pytest.approx(3.0 * spec.m1, abs=1e-12)
-    assert jump_expectation(spec, lambda z: z * z) == pytest.approx(3.0 * spec.m2, rel=1e-10)
+def test_quadrature_matches_moments():
+    for fam in (PointMass(0.3), Uniform(-0.5, 0.5), TruncatedGaussian(0.1, 0.2, 1.0)):
+        spec = JumpMeasureSpec(intensity=3.0, size=fam)
+        nodes, weights = spec.size.quadrature(64)
+        assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+        assert weights @ nodes == pytest.approx(spec.m1, abs=1e-12)
+        assert weights @ (nodes * nodes) == pytest.approx(spec.m2, rel=1e-10)
 
 
 def test_superposition_is_poisson_chi_square():
