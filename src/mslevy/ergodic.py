@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigurationError, DecayFitError, TableValidationError
+from .errors import BlowUpError, ConfigurationError, DecayFitError, TableValidationError
 from .integrate import run_frozen_batch, run_frozen_pair_batch
 from .model import ModelSpec
 from .observers import MeanCurve, PairDistanceCurve, ThinCollector
@@ -52,6 +52,12 @@ __all__ = [
 ]
 
 _EXTRAPOLATIONS = ("clamp", "error")
+# Limits of one fused table run: at most _GROUP_PATHS frozen chains, and
+# at most _GROUP_FLOATS retained sample floats (32 MiB), or one node if a
+# node alone holds more. A frozen step's cost per path falls from about
+# 211 ns at 1,024 paths to 76 ns at 8,192 and 57 ns at 16,384.
+_GROUP_PATHS = 8192
+_GROUP_FLOATS = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +212,24 @@ def estimate_invariant_measure(model: ModelSpec, x, *, burn_in: float,
     effective sample size comes from the autocorrelation of |y|^2; below
     100 the sample is flagged.
     """
-    if burn_in < 0 or horizon <= 0:
-        raise ConfigurationError("burn_in must be >= 0 and horizon > 0")
-    burn_steps = int(round(burn_in / delta))
-    collector = ThinCollector("y", burn_steps, thin)
+    collector = ThinCollector("y", _burn_steps(burn_in, horizon, delta), thin)
     run_frozen_batch(model, x, y0, horizon=burn_in + horizon, delta=delta,
                      n_chains=n_chains, stream=stream, watchers=(collector,))
-    stacked = collector.stacked()                      # (kept, chains, m)
+    return _invariant_sample(x, collector.stacked(), burn_in=burn_in,
+                             horizon=horizon, delta=delta, thin=thin,
+                             n_batches=n_batches)
+
+
+def _burn_steps(burn_in: float, horizon: float, delta: float) -> int:
+    if burn_in < 0 or horizon <= 0:
+        raise ConfigurationError("burn_in must be >= 0 and horizon > 0")
+    return int(round(burn_in / delta))
+
+
+def _invariant_sample(x, stacked: np.ndarray, *, burn_in, horizon, delta,
+                      thin, n_batches) -> InvariantSample:
+    """Pool the thinned post-burn-in states (kept, chains, m) of the
+    chains at slow state x, with batch indices and the ESS of |y|^2."""
     kept, chains, m = stacked.shape
     series = np.transpose(stacked, (1, 0, 2))          # (chains, kept, m)
     samples = series.reshape(chains * kept, m)
@@ -297,6 +314,10 @@ class ExactAveraged:
         self._diff2 = diff2_fn
         self.clamp_count = 0
 
+    @property
+    def has_diffusion(self) -> bool:
+        return self._diff2 is not None
+
     def drift(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self._drift(x), dtype=float)
 
@@ -329,6 +350,7 @@ class AveragedTable:
     meta: dict = field(default_factory=dict)
     max_clip: float = 0.0
     clamp_count: int = 0
+    has_diffusion = True    # not a field: every table holds diff2_values
 
     def __post_init__(self):
         if self.extrapolation not in _EXTRAPOLATIONS:
@@ -417,17 +439,38 @@ def build_averaged_table(model: ModelSpec, box, nodes: int,
     diff2_values = np.empty((nodes, n, n))
     diff2_ci = np.empty((nodes, n, n))
     max_clip = 0.0
-    for i, xv in enumerate(grid):
-        inv = estimate_invariant_measure(
-            model, xv, burn_in=burn_in, horizon=horizon,
-            n_chains=inv_cfg.n_chains, delta=inv_cfg.delta, thin=inv_cfg.thin,
-            y0=inv_cfg.y0, n_batches=inv_cfg.n_batches,
-            stream=stream.child(f"node:{i}"),
-        )
-        drift_values[i], drift_ci[i] = averaged_drift(model, xv, inv)
-        ad = averaged_diffusion(model, xv, inv)
-        diff2_values[i], diff2_ci[i] = ad.matrix, ad.ci
-        max_clip = max(max_clip, ad.clip)
+    # Each node is one stream block of n_chains chains, so a group of
+    # nodes runs as one wide frozen kernel with the draws, and so the
+    # numbers, of one kernel per node.
+    chains = inv_cfg.n_chains
+    burn_steps = _burn_steps(burn_in, horizon, inv_cfg.delta)
+    kept = int(round(horizon / inv_cfg.delta)) // max(1, inv_cfg.thin) + 1
+    per_group = max(1, min(_GROUP_PATHS // chains,
+                           _GROUP_FLOATS // (chains * kept * model.dim_fast)))
+    for first in range(0, nodes, per_group):
+        members = range(first, min(nodes, first + per_group))
+        collector = ThinCollector("y", burn_steps, inv_cfg.thin)
+        try:
+            run_frozen_batch(
+                model, np.repeat(grid[first:members.stop], chains)[:, None],
+                inv_cfg.y0, horizon=burn_in + horizon, delta=inv_cfg.delta,
+                n_chains=len(members) * chains,
+                stream=[(stream.child(f"node:{i}"), chains) for i in members],
+                watchers=(collector,))
+        except BlowUpError as exc:
+            i = first + exc.block
+            raise BlowUpError(exc.time, exc.paths,
+                              where=f"table node {i} (x={float(grid[i])!r})") from exc
+        for j, i in enumerate(members):
+            inv = _invariant_sample(
+                grid[i], collector.stacked(slice(j * chains, (j + 1) * chains)),
+                burn_in=burn_in, horizon=horizon, delta=inv_cfg.delta,
+                thin=inv_cfg.thin, n_batches=inv_cfg.n_batches)
+            drift_values[i], drift_ci[i] = averaged_drift(model, grid[i], inv)
+            ad = averaged_diffusion(model, grid[i], inv)
+            diff2_values[i], diff2_ci[i] = ad.matrix, ad.ci
+            max_clip = max(max_clip, ad.clip)
+            del inv, ad     # before the next node's samples exist
 
     for label, vals, cis in (("drift", drift_values, drift_ci),
                              ("diffusion", diff2_values, diff2_ci)):

@@ -296,7 +296,7 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
         raise ConfigurationError(
             "coupled_difference requires sigma independent of the fast state"
         )
-    if mode == "independent" and not hasattr(avg, "diffusion_root"):
+    if mode == "independent" and not getattr(avg, "has_diffusion", False):
         raise ConfigurationError("independent mode needs averaged diffusion data")
     eps = _prepare_eps(eps)
     policy = delta_policy or DeltaPolicy()

@@ -9,6 +9,16 @@ all five build, run and read out the kernel through one driver. A single
 path is a batch of one: `record=True` (with `n_paths=1`) returns it as a
 PathSample under `out["path"]`.
 
+Blocks: `stream` may be a list of `(RngStream, n_paths)` pairs instead of
+one RngStream. The batch then holds the blocks' paths one after another,
+and each block draws its Wiener increments, event times and marks from
+its own stream with its own path numbering, and chooses its jump
+compensator's form from its own first rows. Every path sees exactly the
+draws, and so the numbers, of a separate run of its block, so several
+narrow runs (e.g. the nodes of an averaged table) fuse into one wide run
+without changing an output byte. A blow-up names the block and the path
+within it.
+
 Scheme: between jump events, drift increments are tamed,
 ``drift * dt / (1 + dt * |drift|)``, which keeps explicit stepping stable
 under superlinear monotone drifts; diffusion increments use the actual
@@ -216,19 +226,36 @@ class _Recorder:
         return np.array(self.values[name]) if name in self.values else None
 
 
+def _stream_blocks(stream, n_paths: int) -> list[tuple[RngStream, int]]:
+    """`stream` as (RngStream, n_paths) blocks that cover the batch."""
+    if isinstance(stream, RngStream):
+        return [(stream, n_paths)]
+    blocks = [(s, int(n)) for s, n in stream]
+    if not blocks or any(n < 1 for _, n in blocks):
+        raise ConfigurationError("stream blocks must each hold at least one path")
+    if sum(n for _, n in blocks) != n_paths:
+        raise ConfigurationError(
+            f"stream blocks hold {sum(n for _, n in blocks)} paths, not {n_paths}")
+    return blocks
+
+
 class _Kernel:
     """Vectorized jump-adapted stepping over a batch of paths."""
 
-    def __init__(self, *, n_paths, t_end, delta, scheme, stream: RngStream):
+    def __init__(self, *, n_paths, t_end, delta, scheme, stream):
         self.n_paths = int(n_paths)
         self.t_end = float(t_end)
         self.delta = float(delta)
         self.scheme = scheme
-        self.stream = stream
+        self.blocks = _stream_blocks(stream, self.n_paths)
+        self.blocked = not isinstance(stream, RngStream)
+        # row offsets of the blocks, closed by n_paths
+        self.bounds = np.cumsum([0] + [n for _, n in self.blocks])
+        self._rows = self.bounds    # block rows of the current advance
         self.components: list[_Component] = []
         self.channels: list[dict] = []
         self.states: dict[str, np.ndarray] = {}
-        self.wiener: dict[str, tuple[int, np.random.Generator]] = {}
+        self.wiener: dict[str, tuple[int, list[np.random.Generator]]] = {}
         self.sup_pair = None
         self.running_sup = None
         self.recorder = None
@@ -244,8 +271,8 @@ class _Kernel:
         comp = _Component(name, dim, drift, diffusion, wiener, float(time_scale))
         self.components.append(comp)
         if wiener is not None and wiener not in self.wiener:
-            gen = self.stream.child(f"wiener:{wiener}").generator()
-            self.wiener[wiener] = (int(wiener_dim), gen)
+            gens = [s.child(f"wiener:{wiener}").generator() for s, _ in self.blocks]
+            self.wiener[wiener] = (int(wiener_dim), gens)
         return comp
 
     def add_channel(self, name, measure: JumpMeasureSpec, rate, targets):
@@ -258,21 +285,48 @@ class _Kernel:
     def set_compensator(self, comp: _Component, measure: JumpMeasureSpec, jump_fn):
         comp.jump_measure = measure
         comp.jump_fn = jump_fn
-        comp.compensator = _build_compensator(jump_fn, measure, self._probe_subs())
+        # each block probes its own first rows, as a separate run would
+        forms = [_build_compensator(jump_fn, measure, self._probe_subs(lo, hi))
+                 for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
+        comp.compensator = self._blockwise(forms, comp.dim)
 
     def track_sup(self, name_a, name_b):
         self.sup_pair = (name_a, name_b)
         self.running_sup = _norm(self.states[name_a] - self.states[name_b])
 
-    def _probe_subs(self):
+    def _probe_subs(self, lo, hi):
         gen = np.random.Generator(np.random.Philox(0xC0FFEE))
+        hi = min(lo + 4, hi)
         subs = []
         for _ in range(2):
             subs.append({
-                n: a[:4] + gen.uniform(-1.0, 1.0, a[:4].shape)
+                n: a[lo:hi] + gen.uniform(-1.0, 1.0, a[lo:hi].shape)
                 for n, a in self.states.items()
             })
         return subs
+
+    def _blockwise(self, forms, dim):
+        """One compensator from the blocks' (form, closure) pairs: the
+        closure that all blocks chose, or else each block's on its own
+        rows of the advance."""
+        if len({form for form, _ in forms}) == 1:
+            return forms[0][1]
+        fns = [fn for _, fn in forms]
+
+        def blockwise(sub):
+            rows = self._rows
+            parts = []
+            for f, lo, hi in zip(fns, rows[:-1], rows[1:]):
+                if hi == lo:
+                    continue
+                if f is None:
+                    parts.append(np.zeros((hi - lo, dim)))
+                else:
+                    parts.append(np.asarray(
+                        f({n: a[lo:hi] for n, a in sub.items()}), dtype=float))
+            return np.concatenate(parts)
+
+        return blockwise
 
     # -- stepping ----------------------------------------------------------
 
@@ -285,9 +339,16 @@ class _Kernel:
             sub = {n: a[idx] for n, a in states.items()}
             k = len(idx)
         dt = np.asarray(dt, dtype=float)
+        # idx is ascending, so each block's rows are contiguous
+        rows = self.bounds if idx is None else np.searchsorted(idx, self.bounds)
+        self._rows = rows
         draws = {}
-        for key, (dim, gen) in self.wiener.items():
-            draws[key] = gen.standard_normal((k, dim))
+        for key, (dim, gens) in self.wiener.items():
+            buf = np.empty((k, dim))
+            for gen, lo, hi in zip(gens, rows[:-1], rows[1:]):
+                if hi > lo:
+                    gen.standard_normal(out=buf[lo:hi])
+            draws[key] = buf
         out = {}
         for comp in self.components:
             s = sub[comp.name]
@@ -354,16 +415,17 @@ class _Kernel:
         for ci, chan in enumerate(self.channels):
             if chan["rate"] <= 0:
                 continue
-            p, t = sample_jump_times_batch(
-                chan["rate"], self.t_end, self.n_paths,
-                self.stream.child(f"events:{chan['name']}"),
-            )
-            gen = self.stream.child(f"marks:{chan['name']}").generator()
-            z = chan["measure"].size.sample(gen, len(t))
-            paths.append(p)
-            times.append(t)
-            chans.append(np.full(len(t), ci, dtype=np.int64))
-            marks.append(z)
+            for (stream, n), start in zip(self.blocks, self.bounds):
+                p, t = sample_jump_times_batch(
+                    chan["rate"], self.t_end, n,
+                    stream.child(f"events:{chan['name']}"),
+                )
+                gen = stream.child(f"marks:{chan['name']}").generator()
+                z = chan["measure"].size.sample(gen, len(t))
+                paths.append(p + start)
+                times.append(t)
+                chans.append(np.full(len(t), ci, dtype=np.int64))
+                marks.append(z)
         if not paths:
             offsets = np.zeros(n_steps + 1, dtype=np.int64)
             e = np.empty(0)
@@ -434,13 +496,20 @@ class _Kernel:
                     bad = np.flatnonzero(~ok)
                     break
             if bad is not None:
-                raise BlowUpError(t1, bad.tolist())
+                raise self._blow_up(t1, bad)
             for w in watchers:
                 w.observe(s, t1, self.states)
             if s in cp_map:
                 snapshots[cp_map[s]] = {c.name: self.states[c.name].copy()
                                         for c in self.components}
         return snapshots
+
+    def _blow_up(self, t, bad):
+        """BlowUpError naming the first offending block and its paths."""
+        b = int(np.searchsorted(self.bounds, bad[0], side="right")) - 1
+        lo, hi = self.bounds[b], self.bounds[b + 1]
+        return BlowUpError(t, (bad[bad < hi] - lo).tolist(),
+                           block=b if self.blocked else None)
 
 
 def _checkpoint_steps(checkpoints, delta, t_end, n_steps) -> dict[int, float]:
@@ -488,15 +557,16 @@ def _implicit_increment(comp, sub, s, dte):
 def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
     """Drift correction -integral of h dnu, specialized where possible.
 
-    Returns None when the integral vanishes identically (mark-linear map
-    against a centered mark law), a constant closure when it is
-    state-independent, an affine-in-mark closed form otherwise, and a
-    Gauss-Legendre quadrature over the bounded mark support as the
-    general fallback.
+    Returns (form, closure): (None, None) when the integral vanishes
+    identically (mark-linear map against a centered mark law), a constant
+    closure when it is state-independent (form ("constant", row)), an
+    affine-in-mark closed form otherwise, and a Gauss-Legendre quadrature
+    over the bounded mark support as the general fallback. Equal forms
+    give closures that compute the same values.
     """
     lam = float(measure.intensity)
     if lam == 0.0:
-        return None
+        return None, None
     m1 = float(measure.m1)
 
     def affine_value(sub):
@@ -520,7 +590,7 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
         vals.append(lam * (c0 + m1 * c1))
     if is_affine:
         if all(np.all(v == 0.0) for v in vals):
-            return None
+            return None, None
         flat = [np.unique(v, axis=0) for v in vals]
         if all(f.shape[0] == 1 for f in flat) and np.array_equal(flat[0], flat[1]):
             const_row = flat[0][0]
@@ -529,8 +599,8 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
                 k = len(next(iter(sub.values())))
                 return np.broadcast_to(const_row, (k, const_row.size))
 
-            return constant
-        return affine_value
+            return ("constant", tuple(const_row.tolist())), constant
+        return "affine", affine_value
 
     nodes, weights = measure.size.quadrature(64)
 
@@ -541,7 +611,7 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
             acc = acc + w * np.asarray(jump_fn(sub, np.full(k, z)), dtype=float)
         return lam * acc
 
-    return quadrature
+    return "quadrature", quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +686,7 @@ def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0, second_y0=None):
 
 
 def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
-    if not hasattr(avg, "diffusion_root"):
+    if not getattr(avg, "has_diffusion", False):
         raise ConfigurationError("averaged coefficients lack squared-diffusion data")
     cx = kernel.add_component(
         "x", model.dim_slow, x0,
@@ -699,8 +769,9 @@ def run_frozen_batch(model: ModelSpec, x, y0, horizon: float, delta: float,
                      n_chains: int, stream: RngStream, *, watchers=(),
                      checkpoints=(), scheme: str = "tamed_euler",
                      record: bool = False):
-    """Vectorized frozen-equation chains at a fixed slow state; with
-    `record` (one chain), the path of the fast state."""
+    """Vectorized frozen-equation chains at a fixed slow state `x`, or at
+    one slow state per chain (shape (n_chains, dim), e.g. with stream
+    blocks); with `record` (one chain), the path of the fast state."""
     return _drive(lambda k: _build_frozen(k, model, x, y0),
                   n_chains, horizon, delta, scheme, stream, frozen=True,
                   outputs={"terminal_fast": "y"}, paths={"path": (None, "y")},

@@ -33,9 +33,10 @@ class ThinCollector:
         if k >= 0 and k % self.thin == 0:
             self.blocks.append(states[self.name].copy())
 
-    def stacked(self) -> np.ndarray:
-        """(n_kept, n_chains, dim) array of retained samples."""
-        return np.stack(self.blocks, axis=0)
+    def stacked(self, cols=slice(None)) -> np.ndarray:
+        """(n_kept, n_chains, dim) array of retained samples, restricted
+        to the chains `cols` selects."""
+        return np.stack([b[cols] for b in self.blocks], axis=0)
 
 
 class MeanCurve:

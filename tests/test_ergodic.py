@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import integrate as sciint
 
-from mslevy.errors import ConfigurationError, DecayFitError, TableValidationError
+from mslevy import ergodic
+from mslevy.errors import (
+    BlowUpError,
+    ConfigurationError,
+    DecayFitError,
+    TableValidationError,
+)
 from mslevy.ergodic import (
     AveragedTable,
     ExactAveraged,
@@ -210,6 +216,60 @@ class TestAveragedTable:
         np.testing.assert_array_equal(back.diff2_values, table.diff2_values)
         np.testing.assert_array_equal(back.axes[0], table.axes[0])
         assert back.meta == table.meta
+
+    @pytest.mark.parametrize("chains, nodes, floats, widths", [
+        (3000, 5, None, [6000, 6000, 3000]),
+        (9000, 3, None, [9000, 9000, 9000]),
+        (64, 5, 1200, [128, 128, 64]),
+    ])
+    def test_fused_nodes_equal_the_per_node_estimates(self, monkeypatch, chains,
+                                                      nodes, floats, widths):
+        # (3000, 5): groups of 2, 2 and 1 nodes; (9000, 3): one node per
+        # run, because a node alone exceeds the path limit; (64, 5): a
+        # node retains 64 chains x 9 samples, so a 1,200-float limit
+        # allows two nodes per run
+        m = scalar_model("blocks", b=lambda x, y: x + 0.01 * y,
+                         sigma=lambda x, y: 1.0 + 0.01 * y,
+                         f=lambda x, y: np.sin(x) - y, g=1.0)
+        cfg = InvariantConfig(n_chains=chains, burn_in=0.125, horizon=0.5,
+                              delta=2**-4, thin=1, n_batches=8)
+        stream = RngStream(109)
+        runs = []
+        frozen = ergodic.run_frozen_batch
+
+        def spy(*args, **kwargs):
+            runs.append(kwargs["n_chains"])
+            return frozen(*args, **kwargs)
+
+        monkeypatch.setattr(ergodic, "run_frozen_batch", spy)
+        table = build_averaged_table(m, (-2.0, 2.0), nodes, cfg, stream)
+        per_run = max(1, ergodic._GROUP_PATHS // chains)
+        assert runs == [chains * min(per_run, nodes - k)
+                        for k in range(0, nodes, per_run)]
+        for i, x in enumerate(table.axes[0]):
+            inv = estimate_invariant_measure(
+                m, x, burn_in=cfg.burn_in, horizon=cfg.horizon,
+                n_chains=chains, delta=cfg.delta, thin=cfg.thin, y0=cfg.y0,
+                n_batches=cfg.n_batches, stream=stream.child(f"node:{i}"))
+            drift, drift_ci = averaged_drift(m, x, inv)
+            ad = averaged_diffusion(m, x, inv)
+            np.testing.assert_array_equal(table.drift_values[i], drift)
+            np.testing.assert_array_equal(table.drift_ci[i], drift_ci)
+            np.testing.assert_array_equal(table.diff2_values[i], ad.matrix)
+            np.testing.assert_array_equal(table.diff2_ci[i], ad.ci)
+
+    @pytest.mark.parametrize("chains, nodes", [(4, 7), (1024, 9)])
+    def test_blow_up_names_the_node(self, chains, nodes):
+        # the fast drift is infinite at the last node only; (4, 7) runs it
+        # with the other nodes, (1024, 9) alone after a run of 8 nodes
+        m = scalar_model("wall", b=lambda x, y: y, sigma=1.0, g=1.0,
+                         f=lambda x, y: np.where(x > 2.5, np.inf, -y))
+        cfg = InvariantConfig(n_chains=chains, burn_in=0.25, horizon=0.5,
+                              delta=2**-6, thin=1)
+        with pytest.raises(BlowUpError,
+                           match=rf"table node {nodes - 1} \(x=3\.0\)") as exc:
+            build_averaged_table(m, (-3.0, 3.0), nodes, cfg, RngStream(110))
+        assert exc.value.paths == list(range(chains))
 
     def test_interpolated_diffusion_stays_psd(self):
         grid = np.linspace(-1, 1, 5)

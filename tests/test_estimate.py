@@ -190,16 +190,21 @@ class TestWeakError:
         assert ("noise-dominated" in rep.flags) or rep.degenerate \
             or (rep.ci_half[-1] > 0)
 
-    def test_unknown_mode_and_missing_diffusion(self):
+    def test_unknown_mode_and_missing_diffusion(self, monkeypatch):
         m = _fast_free_model()
         with pytest.raises(ConfigurationError):
             weak_error(m, ExactAveraged(lambda x: -x), make_test_function("identity"),
                        eps=[0.1, 0.05, 0.025], t_end=1.0, n_paths=4,
                        mode="typo", stream=RngStream(1))
-        with pytest.raises(ConfigurationError):
+        # the missing diffusion data is refused before any system path runs
+        calls = []
+        monkeypatch.setattr(mslevy.integrate, "run_system_batch",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigurationError, match="diffusion"):
             weak_error(m, ExactAveraged(lambda x: -x), make_test_function("identity"),
                        eps=[0.1, 0.05, 0.025], t_end=1.0, n_paths=4,
                        mode="independent", stream=RngStream(1))
+        assert calls == []
 
     def test_stream_is_required(self):
         with pytest.raises(TypeError, match="stream"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mslevy.ergodic import ExactAveraged
 from mslevy.errors import BlowUpError, ConfigurationError
@@ -11,7 +12,8 @@ from mslevy.integrate import (
     run_system_batch,
 )
 from mslevy.model import example_2_7, scalar_model
-from mslevy.rng import JumpMeasureSpec, PointMass, RngStream
+from mslevy.observers import ThinCollector
+from mslevy.rng import JumpMeasureSpec, PointMass, RngStream, Uniform
 
 
 def _one_path(model, x0, y0, cfg, seed):
@@ -272,6 +274,24 @@ class TestCheckpointsAndBlowup:
         assert 0 < exc.value.time <= 4.0
         assert len(exc.value.paths) >= 1
 
+    def test_blow_up_in_a_block_names_the_block_and_its_path(self):
+        # the fast drift is infinite only where the frozen slow state is 3
+        m = scalar_model("wall", b=0.0, sigma=0.0, g=1.0,
+                         f=lambda x, y: np.where(x > 2.5, np.inf, -y))
+        x = np.array([0.0] * 3 + [1.0, 3.0, 1.0, 3.0] + [0.0] * 2)[:, None]
+        blocks = [(RngStream(19, i), n) for i, n in enumerate((3, 4, 2))]
+        with pytest.raises(BlowUpError, match="of block 1") as exc:
+            run_frozen_batch(m, x, 0.0, horizon=1.0, delta=2**-6, n_chains=9,
+                             stream=blocks)
+        assert exc.value.block == 1
+        assert exc.value.paths == [1, 3]
+        # a list of one block still names it
+        with pytest.raises(BlowUpError, match="of block 0") as exc:
+            run_frozen_batch(m, x[3:7], 0.0, horizon=1.0, delta=2**-6,
+                             n_chains=4, stream=[(RngStream(19, 1), 4)])
+        assert exc.value.block == 0
+        assert exc.value.paths == [1, 3]
+
     @pytest.mark.slow
     def test_no_blow_up_example_2_7(self):
         # superlinear drifts -x^3, -y^5 complete a full batch without aborts
@@ -347,3 +367,75 @@ class TestTraceDump:
         assert len(lines) == 1 + len(path.times)
         flagged = [ln for ln in lines[1:] if ln.split(",")[3] == "1"]
         assert len(flagged) == len({e.time for e in path.events})
+
+
+def _blocks_model():
+    """Frozen dynamics that exercise every per-block draw: x-dependent
+    drift and diffusion, and fast jumps at rate 48 (about three events
+    per path per 1/16 step, so several ranks per step) whose map depends
+    on the state and is affine in marks of mean 0.35, which selects the
+    affine compensator."""
+    return scalar_model(
+        "blocks", b=0.0, sigma=0.0,
+        f=lambda x, y: 0.5 * x - y - 0.1 * y * y * y,
+        g=lambda x, y: 0.5 + 0.1 * x * x,
+        h2=lambda x, y, z: z * (0.3 + 0.1 * y * y) - 0.05 * x,
+        nu2=JumpMeasureSpec(intensity=48.0, size=Uniform(0.1, 0.6)),
+    )
+
+
+class TestStreamBlocks:
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_run_equals_separate_runs(self, sizes, seed):
+        m = _blocks_model()
+        streams = [RngStream(seed).child(f"block:{i}") for i in range(len(sizes))]
+        xs = [0.7 * i - 1.0 for i in range(len(sizes))]
+        kw = dict(horizon=0.5, delta=2**-4)
+        fused = ThinCollector("y", 2, 3)
+        out = run_frozen_batch(
+            m, np.repeat(xs, sizes)[:, None], 0.2, n_chains=sum(sizes),
+            stream=list(zip(streams, sizes)), watchers=(fused,), **kw)
+        lo = 0
+        for s, x, n in zip(streams, xs, sizes):
+            alone = ThinCollector("y", 2, 3)
+            ref = run_frozen_batch(m, x, 0.2, n_chains=n, stream=s,
+                                   watchers=(alone,), **kw)
+            np.testing.assert_array_equal(out["terminal_fast"][lo:lo + n],
+                                          ref["terminal_fast"])
+            np.testing.assert_array_equal(fused.stacked(slice(lo, lo + n)),
+                                          alone.stacked())
+            lo += n
+
+    @pytest.mark.parametrize("h2", [
+        # affine in the mark for x < 0, quadratic below 1.5, zero above
+        lambda x, y, z: np.where(x < 0, z, np.where(x < 1.5, z * z, 0.0)),
+        # state-free near each block's slow state, but not the same there
+        lambda x, y, z: z + np.where(x < 0, 1.0, 2.0),
+    ], ids=["kinked", "piecewise-constant"])
+    def test_each_block_keeps_its_own_compensator(self, h2):
+        # a separate run classifies the jump map near its own slow state
+        m = scalar_model("kink", b=0.0, sigma=0.0, f=lambda x, y: -y, g=1.0,
+                         h2=h2, nu2=JumpMeasureSpec(intensity=8.0,
+                                                    size=Uniform(0.1, 0.6)))
+        xs, sizes = [-3.0, 3.0, -3.0, 0.5], [2, 5, 3, 4]
+        streams = [RngStream(20, i) for i in range(len(sizes))]
+        kw = dict(horizon=0.5, delta=2**-4)
+        out = run_frozen_batch(m, np.repeat(xs, sizes)[:, None], 0.0,
+                               n_chains=sum(sizes),
+                               stream=list(zip(streams, sizes)), **kw)
+        lo = 0
+        for s, x, n in zip(streams, xs, sizes):
+            ref = run_frozen_batch(m, x, 0.0, n_chains=n, stream=s, **kw)
+            np.testing.assert_array_equal(out["terminal_fast"][lo:lo + n],
+                                          ref["terminal_fast"])
+            lo += n
+
+    def test_blocks_must_cover_the_batch(self):
+        m = _blocks_model()
+        for blocks in ([(RngStream(1), 2), (RngStream(2), 2)],
+                       [(RngStream(1), 5), (RngStream(2), 0)], []):
+            with pytest.raises(ConfigurationError, match="block"):
+                run_frozen_batch(m, 0.0, 0.0, horizon=0.5, delta=2**-4,
+                                 n_chains=5, stream=blocks)
