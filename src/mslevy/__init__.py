@@ -27,6 +27,7 @@ from .ergodic import (
     estimate_invariant_measure,
     load_averaged_table,
     poisson_cell,
+    poisson_cells,
     psd_sqrt,
     save_averaged_table,
 )

@@ -467,17 +467,16 @@ def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
     from .integrate import run_frozen_batch
     from .observers import MeanCurve
 
-    cell_here = ergodic.poisson_cell(
-        model, x, y, t_cut=t_cut, n_traj=n_traj, delta=delta, avg_b=avg_b,
-        avg_b_ci=avg_b_ci, stream=stream.child("phi-at-y"))
     ends = run_frozen_batch(model, x, y, horizon=s, delta=delta,
                             n_chains=endpoint_draws,
                             stream=stream.child("endpoints"))["terminal_fast"]
-    vals = np.empty((endpoint_draws, model.dim_slow))
-    for i, ye in enumerate(ends):
-        vals[i] = ergodic.poisson_cell(
-            model, x, ye, t_cut=t_cut, n_traj=n_traj, delta=delta, avg_b=avg_b,
-            avg_b_ci=avg_b_ci, stream=stream.child(f"phi-end:{i}")).value
+    # the cell at y and one per endpoint run as the blocks of one kernel
+    cell_here, *cell_ends = ergodic.poisson_cells(
+        model, x, [y, *ends], t_cut=t_cut, n_traj=n_traj, delta=delta,
+        avg_b=avg_b, avg_b_ci=avg_b_ci,
+        streams=[stream.child("phi-at-y")]
+        + [stream.child(f"phi-end:{i}") for i in range(endpoint_draws)])
+    vals = np.array([c.value for c in cell_ends])
     mean_end = vals.mean(axis=0)
     se_end = vals.std(axis=0, ddof=1) / np.sqrt(endpoint_draws)
 

@@ -48,6 +48,7 @@ __all__ = [
     "save_averaged_table",
     "load_averaged_table",
     "poisson_cell",
+    "poisson_cells",
     "ergodicity_decay",
 ]
 
@@ -597,19 +598,55 @@ def poisson_cell(model: ModelSpec, x, y, *, t_cut: float, n_traj: int,
     tail bound extrapolates the fitted exponential decay of the gap
     beyond t_cut; a non-positive fitted rate raises DecayFitError.
     """
+    return poisson_cells(model, x, [y], t_cut=t_cut, n_traj=n_traj,
+                         delta=delta, avg_b=avg_b, avg_b_ci=avg_b_ci,
+                         streams=[stream])[0]
+
+
+def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
+                  delta: float, avg_b, avg_b_ci=0.0, streams) -> list[PoissonCell]:
+    """`poisson_cell` at the fast starts `ys`, cell j on `streams[j]`,
+    in one frozen run.
+
+    Each cell is a stream block of n_traj paths, so the run has the
+    draws, and every cell the numbers, of a separate `poisson_cell` call.
+    Cells are post-processed in order: the first cell whose decay fit
+    fails raises DecayFitError, and a blow-up names its cell.
+    """
+    k = len(ys)
     if t_cut <= 0:
         raise ConfigurationError("t_cut must be positive")
+    if not 0 < k == len(streams):
+        raise ConfigurationError(
+            f"need one stream per fast start, not {k} starts and "
+            f"{len(streams)} streams")
     avg_b = np.atleast_1d(np.asarray(avg_b, dtype=float))
     avg_b_ci = np.broadcast_to(np.asarray(avg_b_ci, dtype=float), avg_b.shape)
+    starts = np.stack([np.broadcast_to(np.asarray(y, dtype=float), (model.dim_fast,))
+                       for y in ys])
+    curve = MeanCurve(lambda states: model.slow_drift(states["x"], states["y"]),
+                      blocks=k)
+    try:
+        run_frozen_batch(model, x, np.repeat(starts, n_traj, axis=0),
+                         horizon=t_cut, delta=delta, n_chains=k * n_traj,
+                         stream=[(s, n_traj) for s in streams], watchers=(curve,))
+    except BlowUpError as exc:
+        y = starts[exc.block].tolist()
+        y = y[0] if len(y) == 1 else y
+        raise BlowUpError(exc.time, exc.paths,
+                          where=f"poisson cell {exc.block} (y={y!r})") from exc
+    per_path = curve.integral.reshape(k, n_traj, -1)
+    return [_cell(curve, j, per_path[j], avg_b, avg_b_ci, t_cut)
+            for j in range(k)]
 
-    curve = MeanCurve(lambda states: model.slow_drift(states["x"], states["y"]))
-    run_frozen_batch(model, x, y, horizon=t_cut, delta=delta, n_chains=n_traj,
-                     stream=stream, watchers=(curve,))
-    times, means = curve.curve()
+
+def _cell(curve, j, per_path, avg_b, avg_b_ci, t_cut) -> PoissonCell:
+    """Value, CI, gap curve and decay fit of block j of a cell run."""
+    times, means = curve.curve(j)
     gap = means - avg_b[None, :]
     gap_norm = np.linalg.norm(gap, axis=1)
 
-    per_path = curve.integral           # (n_traj, n)
+    n_traj = len(per_path)              # per_path: (n_traj, n)
     value = per_path.mean(axis=0) - avg_b * t_cut
     mc_ci = 1.96 * per_path.std(axis=0, ddof=1) / np.sqrt(n_traj)
     ci = mc_ci + t_cut * avg_b_ci
@@ -621,7 +658,7 @@ def poisson_cell(model: ModelSpec, x, y, *, t_cut: float, n_traj: int,
 
     # fit the exponential tail on the late clean segment: folded noise
     # inflates |gap| once the signal nears the per-point standard error
-    point_se = curve.point_se()
+    point_se = curve.point_se(j)
     clean = np.flatnonzero(gap_norm > 6 * point_se)
     usable = np.zeros(len(times), dtype=bool)
     if clean.size:

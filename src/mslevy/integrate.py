@@ -13,7 +13,7 @@ Blocks: `stream` may be a list of `(RngStream, n_paths)` pairs instead of
 one RngStream. The batch then holds the blocks' paths one after another,
 and each block draws its Wiener increments, event times and marks from
 its own stream with its own path numbering, and chooses its jump
-compensator's form from its own first rows. Every path sees exactly the
+compensator's form from its own rows. Every path sees exactly the
 draws, and so the numbers, of a separate run of its block, so several
 narrow runs (e.g. the nodes of an averaged table) fuse into one wide run
 without changing an output byte. A blow-up names the block and the path
@@ -285,7 +285,7 @@ class _Kernel:
     def set_compensator(self, comp: _Component, measure: JumpMeasureSpec, jump_fn):
         comp.jump_measure = measure
         comp.jump_fn = jump_fn
-        # each block probes its own first rows, as a separate run would
+        # each block probes its own rows, as a separate run would
         forms = [_build_compensator(jump_fn, measure, self._probe_subs(lo, hi))
                  for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
         comp.compensator = self._blockwise(forms, comp.dim)
@@ -295,8 +295,8 @@ class _Kernel:
         self.running_sup = _norm(self.states[name_a] - self.states[name_b])
 
     def _probe_subs(self, lo, hi):
+        """Two perturbed copies of every starting state of rows lo:hi."""
         gen = np.random.Generator(np.random.Philox(0xC0FFEE))
-        hi = min(lo + 4, hi)
         subs = []
         for _ in range(2):
             subs.append({
@@ -563,6 +563,10 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
     affine-in-mark closed form otherwise, and a Gauss-Legendre quadrature
     over the bounded mark support as the general fallback. Equal forms
     give closures that compute the same values.
+
+    The form is chosen once, at t = 0, from perturbed copies of every
+    starting state in `probe_subs`; a path that later moves to where the
+    map has another form keeps this one.
     """
     lam = float(measure.intensity)
     if lam == 0.0:

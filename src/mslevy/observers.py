@@ -41,21 +41,37 @@ class ThinCollector:
 
 class MeanCurve:
     """Cross-path mean of fn(states) on the micro grid, plus the per-path
-    trapezoid integral of fn over time (for honest CIs)."""
+    trapezoid integral of fn over time (for honest CIs).
 
-    def __init__(self, fn):
+    With `blocks=k` the batch is k equal row blocks (e.g. k stream
+    blocks of one fused run), and the mean, spread and standard error are
+    kept per block: `curve(j)` and `point_se(j)` read block j, with the
+    values a separate run of that block alone would give. `integral`
+    stays per path.
+    """
+
+    def __init__(self, fn, blocks: int = 1):
         self.fn = fn
+        self.blocks = int(blocks)
         self.times: list[float] = []
-        self.means: list[np.ndarray] = []
-        self.spreads: list[float] = []
+        self.means: list[np.ndarray] = []       # (blocks, n) per point
+        self.spreads: list[np.ndarray] = []     # (blocks,) per point
         self._prev = None
         self.integral = None
 
+    def _stats(self, val):
+        per = val.reshape(self.blocks, -1, val.shape[1])
+        std = per.std(axis=1)
+        # vecdot is the dot product np.linalg.norm takes of one block's
+        # std vector; norm(axis=1) sums the squares in another order
+        return per.mean(axis=1), np.sqrt(np.vecdot(std, std))
+
     def start(self, states):
         first = np.asarray(self.fn(states))
+        mean, spread = self._stats(first)
         self.times = [0.0]
-        self.means = [first.mean(axis=0)]
-        self.spreads = [float(np.linalg.norm(first.std(axis=0)))]
+        self.means = [mean]
+        self.spreads = [spread]
         self._prev = first
         self.integral = np.zeros_like(first)
 
@@ -64,17 +80,18 @@ class MeanCurve:
         dt = t - self.times[-1]
         self.integral += 0.5 * dt * (self._prev + val)
         self._prev = val
+        mean, spread = self._stats(val)
         self.times.append(float(t))
-        self.means.append(val.mean(axis=0))
-        self.spreads.append(float(np.linalg.norm(val.std(axis=0))))
+        self.means.append(mean)
+        self.spreads.append(spread)
 
-    def curve(self):
-        return np.asarray(self.times), np.asarray(self.means)
+    def curve(self, block: int = 0):
+        return np.asarray(self.times), np.asarray(self.means)[:, block]
 
-    def point_se(self) -> np.ndarray:
-        """Cross-path standard error of each mean-curve point."""
-        n = self._prev.shape[0]
-        return np.asarray(self.spreads) / np.sqrt(n)
+    def point_se(self, block: int = 0) -> np.ndarray:
+        """Cross-path standard error of each mean-curve point of a block."""
+        n = self._prev.shape[0] // self.blocks
+        return np.asarray(self.spreads)[:, block] / np.sqrt(n)
 
 
 def _batch_norm(a: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from mslevy.ergodic import (
     estimate_invariant_measure,
     ergodicity_decay,
     poisson_cell,
+    poisson_cells,
 )
 from mslevy.estimate import (
     DeltaPolicy,
@@ -153,11 +154,10 @@ def test_06_poisson_centering_and_semigroup():
     avg_b, avg_ci = averaged_drift(model, x, inv)
 
     draws = inv.samples[:: len(inv.samples) // 48][:48, 0]
-    vals = np.empty(48)
-    for i, yk in enumerate(draws):
-        vals[i] = poisson_cell(model, x, float(yk), t_cut=6.0, n_traj=768,
-                               delta=2**-8, avg_b=avg_b,
-                               stream=RngStream(9108, i)).value[0]
+    cells = poisson_cells(model, x, [float(yk) for yk in draws], t_cut=6.0,
+                          n_traj=768, delta=2**-8, avg_b=avg_b,
+                          streams=[RngStream(9108, i) for i in range(48)])
+    vals = np.array([c.value[0] for c in cells])
     centered = vals.mean()
     ci = 1.96 * vals.std(ddof=1) / np.sqrt(vals.size) + 6.0 * avg_ci[0]
     assert abs(centered) < 3 * ci

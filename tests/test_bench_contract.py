@@ -75,7 +75,10 @@ def test_patched_names_are_looked_up_at_call_time():
     # the tracer replaces module attributes, so callers must not bind them early
     assert "compile_expression" in model.model_from_config.__code__.co_names
     assert "get_model" in cli.run.__code__.co_names
-    # so the tracer's kernel spans also see the table's fused frozen runs
+    # so the tracer's kernel spans also see the table's and the
+    # semigroup check's fused frozen runs
     assert "run_frozen_batch" in ergodic.build_averaged_table.__code__.co_names
+    assert "run_frozen_batch" in ergodic.poisson_cells.__code__.co_names
+    assert "poisson_cells" in cli.semigroup_identity_check.__code__.co_names
     for fn in (estimate.strong_error, estimate.weak_error):
         assert {"_integrate", "run_pair_batch"} <= set(fn.__code__.co_names)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate as sciint
@@ -20,11 +22,13 @@ from mslevy.ergodic import (
     estimate_invariant_measure,
     load_averaged_table,
     poisson_cell,
+    poisson_cells,
     psd_sqrt,
     save_averaged_table,
 )
-from mslevy.model import example_2_7, example_2_8, scalar_model
-from mslevy.rng import JumpMeasureSpec, RngStream, Uniform
+from mslevy.model import ModelSpec, example_2_7, example_2_8, scalar_model
+from mslevy.observers import MeanCurve
+from mslevy.rng import JumpMeasureSpec, RngStream, Uniform, default_jump_measure
 
 JUMP_OU_VAR = (1.0 + 1.0 / 12.0) / 2.0
 
@@ -330,6 +334,113 @@ class TestPoissonCell:
                          avg_b=0.5, stream=RngStream(112))
 
 
+def _two_slow(a=0.7):
+    """Jump-OU fast state under a 2-d slow drift b(x, y) = (y, 2y - x_1)."""
+    return ModelSpec(
+        name="two_slow", dim_slow=2, dim_fast=1, dw_slow=2, dw_fast=1,
+        slow_drift=lambda x, y: np.stack([y[:, 0], 2 * y[:, 0] - x[:, 1]], axis=1),
+        slow_diffusion=lambda x, y: np.broadcast_to(np.eye(2), (len(x), 2, 2)),
+        slow_jump=lambda x, z: np.zeros((len(z), 2)),
+        fast_drift=lambda x, y: a - y,
+        fast_diffusion=lambda x, y: np.ones((len(y), 1, 1)),
+        fast_jump=lambda x, y, z: z[:, None],
+        slow_measure=default_jump_measure(), fast_measure=default_jump_measure(),
+    )
+
+
+class TestPoissonCells:
+    # compensated jumps keep E Y_t = a + e^{-t}(y - a) for b = y, so the
+    # gaps decay and every cell's fit succeeds
+    @pytest.mark.parametrize("model, x, avg_b", [
+        (jump_ou(0.7), 0.0, 0.7),
+        # off-centre marks and a state-dependent jump size: the affine
+        # compensator runs on every advance
+        (scalar_model("jump_ou_affine", b=lambda x, y: y, sigma=1.0,
+                      f=lambda x, y: 0.7 - y, g=1.0,
+                      h2=lambda x, y, z: z * (1.0 + 0.1 * y * y),
+                      nu2=JumpMeasureSpec(intensity=4.0, size=Uniform(0.1, 0.6))),
+         0.0, 0.7),
+        (_two_slow(0.7), [0.0, 0.5], [0.7, 0.9]),
+    ], ids=["jump_ou", "affine-compensator", "dim_slow-2"])
+    def test_fused_cells_equal_separate_cells(self, monkeypatch, model, x, avg_b):
+        ys = [1.7, -0.3, 2.5, 0.7]
+        streams = [RngStream(118, i) for i in range(len(ys))]
+        kw = dict(t_cut=4.0, n_traj=256, delta=2**-6, avg_b=avg_b, avg_b_ci=0.01)
+        widths = []
+        frozen = ergodic.run_frozen_batch
+
+        def spy(*args, **kwargs):
+            widths.append(kwargs["n_chains"])
+            return frozen(*args, **kwargs)
+
+        monkeypatch.setattr(ergodic, "run_frozen_batch", spy)
+        fused = poisson_cells(model, x, ys, streams=streams, **kw)
+        assert widths == [len(ys) * 256]
+        for y, s, cell in zip(ys, streams, fused):
+            alone = poisson_cell(model, x, y, stream=s, **kw)
+            for f in dataclasses.fields(cell):
+                np.testing.assert_array_equal(getattr(cell, f.name),
+                                              getattr(alone, f.name), f.name)
+        # the starts off the mean fit a decay; the one at it is in noise
+        assert np.isfinite([c.decay_rate for c in fused[:3]]).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mean_curve_blocks_equal_separate_curves(self, dim):
+        # per-block mean and spread must be bit-equal to a curve over the
+        # block alone: np.linalg.norm(std) of a 1-d vector is a dot product
+        gen = np.random.default_rng(122)
+        vals = [gen.standard_normal((3 * 129, dim)) * 3.7 for _ in range(64)]
+        fused = MeanCurve(lambda st: st["v"], blocks=3)
+        fused.start({"v": vals[0]})
+        for k, v in enumerate(vals[1:]):
+            fused.observe(k, 0.25 * (k + 1), {"v": v})
+        for j in range(3):
+            alone = MeanCurve(lambda st: st["v"][129 * j:129 * (j + 1)])
+            alone.start({"v": vals[0]})
+            for k, v in enumerate(vals[1:]):
+                alone.observe(k, 0.25 * (k + 1), {"v": v})
+            np.testing.assert_array_equal(fused.curve(j)[1], alone.curve()[1])
+            np.testing.assert_array_equal(fused.point_se(j), alone.point_se())
+            spreads = [np.linalg.norm(v[129 * j:129 * (j + 1)].std(axis=0))
+                       for v in vals]
+            np.testing.assert_array_equal(alone.point_se(),
+                                          np.array(spreads) / np.sqrt(129))
+        np.testing.assert_array_equal(fused.curve(0)[0], 0.25 * np.arange(64))
+
+    def test_later_failing_fit_raises_the_same_error(self):
+        # Y stays at its start: the gap is 0 from y = 0.5 and a constant
+        # 0.5 from y = 1.0, which no decay fit accepts
+        m = scalar_model("frozeny", b=lambda x, y: y, sigma=1.0, f=0.0, g=0.0,
+                         h2=lambda x, y, z: np.zeros_like(z))
+        kw = dict(t_cut=4.0, n_traj=64, delta=2**-6, avg_b=0.5)
+        streams = [RngStream(119, i) for i in range(2)]
+        assert poisson_cell(m, 0.0, 0.5, stream=streams[0], **kw).tail_bound == 0.0
+        with pytest.raises(DecayFitError) as alone:
+            poisson_cell(m, 0.0, 1.0, stream=streams[1], **kw)
+        with pytest.raises(DecayFitError) as fused:
+            poisson_cells(m, 0.0, [0.5, 1.0], streams=streams, **kw)
+        assert str(fused.value) == str(alone.value)
+
+    @pytest.mark.parametrize("ys", [[0.5, -1.0, 10.0], [10.0]],
+                             ids=["last-block", "lone-block"])
+    def test_blow_up_names_the_cell(self, ys):
+        # the fast drift is infinite above y = 5, so only a start at 10 fails
+        m = scalar_model("ceiling", b=lambda x, y: y, sigma=1.0, g=1.0,
+                         f=lambda x, y: np.where(y > 5, np.inf, -y))
+        j = len(ys) - 1
+        with pytest.raises(BlowUpError,
+                           match=rf"poisson cell {j} \(y=10\.0\)") as exc:
+            poisson_cells(m, 0.0, ys, t_cut=1.0, n_traj=16, delta=2**-6,
+                          avg_b=0.0, streams=[RngStream(120, i) for i in range(len(ys))])
+        assert exc.value.paths == list(range(16))
+
+    def test_starts_and_streams_must_pair_up(self):
+        for ys, streams in (([0.0, 1.0], [RngStream(121)]), ([], [])):
+            with pytest.raises(ConfigurationError, match="one stream per fast start"):
+                poisson_cells(jump_ou(), 0.0, ys, t_cut=1.0, n_traj=8,
+                              delta=2**-6, avg_b=0.7, streams=streams)
+
+
 class TestErgodicityDecay:
     def test_linear_contraction_rate(self):
         m = scalar_model("ou", b=0.0, sigma=1.0, f=lambda x, y: -y, g=1.0)
@@ -383,13 +494,11 @@ class TestCorrectorGrowthEnvelope:
 
         def sup_ratio(bound, sid):
             probes = np.linspace(-bound, bound, 7)
-            vals = []
-            for i, y in enumerate(probes):
-                cell = poisson_cell(m, 0.0, float(y), t_cut=8.0, n_traj=512,
-                                    delta=2**-7, avg_b=a,
-                                    stream=RngStream(150 + sid, i))
-                vals.append(abs(cell.value[0]) / (1.0 + abs(y)))
-            return max(vals)
+            cells = poisson_cells(m, 0.0, [float(y) for y in probes], t_cut=8.0,
+                                  n_traj=512, delta=2**-7, avg_b=a,
+                                  streams=[RngStream(150 + sid, i) for i in range(7)])
+            return max(abs(c.value[0]) / (1.0 + abs(y))
+                       for c, y in zip(cells, probes))
 
         near = sup_ratio(3.0, 0)
         far = sup_ratio(6.0, 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mslevy import integrate
 from mslevy.ergodic import ExactAveraged
 from mslevy.errors import BlowUpError, ConfigurationError
 from mslevy.integrate import (
@@ -431,6 +432,27 @@ class TestStreamBlocks:
             np.testing.assert_array_equal(out["terminal_fast"][lo:lo + n],
                                           ref["terminal_fast"])
             lo += n
+
+    def test_every_row_of_a_stream_chooses_the_form(self):
+        # the slow jump map is affine in the mark only for x < 0, so rows
+        # at x = 3 need the quadrature value lambda * m2, not lambda * m1,
+        # wherever they sit in a single-stream batch
+        m = scalar_model("kinked_slow", b=0.0, sigma=0.0, f=lambda x, y: -y,
+                         g=1.0, h1=lambda x, z: np.where(x < 0, z, z * z),
+                         nu1=JumpMeasureSpec(intensity=4.0, size=Uniform(0.1, 0.6)))
+
+        def correction(x0):
+            kernel = integrate._Kernel(n_paths=8, t_end=1.0, delta=2**-6,
+                                       scheme="tamed_euler", stream=RngStream(21))
+            integrate._build_slow_fast(kernel, m, np.array(x0)[:, None], 0.0, 1.0)
+            return kernel.components[0].compensator(kernel.states)
+
+        left = correction([-3.0] * 4 + [3.0] * 4)
+        right = correction([3.0] * 4 + [-3.0] * 4)
+        np.testing.assert_array_equal(left, np.roll(right, 4, axis=0))
+        m1, m2 = 0.35, (0.6**3 - 0.1**3) / (3 * 0.5)
+        np.testing.assert_allclose(left[:, 0], [4 * m1] * 4 + [4 * m2] * 4,
+                                   rtol=1e-12)
 
     def test_blocks_must_cover_the_batch(self):
         m = _blocks_model()
