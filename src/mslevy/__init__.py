@@ -12,7 +12,6 @@ from .errors import (
     ConfigurationError,
     DecayFitError,
     MslevyError,
-    NoiseDominatedError,
     TableValidationError,
 )
 from .ergodic import (
@@ -38,7 +37,6 @@ from .estimate import (
     fast_moment_sweep,
     fit_order,
     make_test_function,
-    mc_mean_ci,
     strong_error,
     weak_error,
 )

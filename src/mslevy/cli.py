@@ -168,13 +168,13 @@ _SCHEMAS: dict[str, dict] = {
         "x": (True, None, _num("x")),
         "y": (True, None, _num("y")),
         "t_cut": (True, None, _num("t_cut")),
-        "n_traj": (False, 4096, _int("n_traj")),
+        "n_traj": (False, 4096, _int("n_traj", 2)),
         "delta": (False, 2.0**-8, _num("delta")),
         "chains": (False, 32, _int("chains")),
         "burn_in": (False, 5.0, _num("burn_in")),
         "horizon": (False, 100.0, _num("horizon")),
         "semigroup_s": (False, None, _maybe(_num("semigroup_s"))),
-        "endpoint_draws": (False, 32, _int("endpoint_draws")),
+        "endpoint_draws": (False, 32, _int("endpoint_draws", 2)),
     },
     "ergodicity": {
         "x": (True, None, _num("x")),
@@ -315,6 +315,16 @@ def _table_cache_key(model_ref, tb: dict, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _build_table(model, tb: dict, extrapolation: str, stream: RngStream):
+    """The averaged table of a `table` config block."""
+    inv_cfg = ergodic.InvariantConfig(
+        n_chains=tb["chains"], burn_in=tb["burn_in"], horizon=tb["horizon"],
+        delta=tb["delta"], thin=tb["thin"], y0=tb["y0"])
+    return ergodic.build_averaged_table(
+        model, tuple(tb["box"]), tb["nodes"], inv_cfg, stream,
+        extrapolation=extrapolation)
+
+
 def _get_table(model, model_ref, tb: dict, extrapolation: str, seed: int,
                out: Path, stream: RngStream):
     """Build the averaged table or load it from the run cache."""
@@ -325,12 +335,7 @@ def _get_table(model, model_ref, tb: dict, extrapolation: str, seed: int,
     meta_p = cache / f"avg_table_{key}.json"
     if csv_p.exists() and meta_p.exists():
         return ergodic.load_averaged_table(csv_p, meta_p), True
-    inv_cfg = ergodic.InvariantConfig(
-        n_chains=tb["chains"], burn_in=tb["burn_in"], horizon=tb["horizon"],
-        delta=tb["delta"], thin=tb["thin"], y0=tb["y0"])
-    table = ergodic.build_averaged_table(
-        model, tuple(tb["box"]), tb["nodes"], inv_cfg, stream,
-        extrapolation=extrapolation)
+    table = _build_table(model, tb, extrapolation, stream)
     ergodic.save_averaged_table(table, csv_p, meta_p)
     return table, False
 
@@ -403,12 +408,7 @@ def _cmd_frozen_stats(model, cfg, out, stream):
 def _cmd_avg_table(model, cfg, out, stream):
     opts = cfg.options
     tb = opts["table"]
-    inv_cfg = ergodic.InvariantConfig(
-        n_chains=tb["chains"], burn_in=tb["burn_in"], horizon=tb["horizon"],
-        delta=tb["delta"], thin=tb["thin"], y0=tb["y0"])
-    table = ergodic.build_averaged_table(
-        model, tuple(tb["box"]), tb["nodes"], inv_cfg, stream,
-        extrapolation=opts["extrapolation"])
+    table = _build_table(model, tb, opts["extrapolation"], stream)
     ergodic.save_averaged_table(table, out / "avg_table.csv",
                                 out / "avg_table.json")
     lines = [f"averaged table: {tb['nodes']} nodes on {tb['box']}, "

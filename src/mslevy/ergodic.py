@@ -21,7 +21,7 @@ independence, since pooled samples are autocorrelated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -59,6 +59,8 @@ _EXTRAPOLATIONS = ("clamp", "error")
 # 211 ns at 1,024 paths to 76 ns at 8,192 and 57 ns at 16,384.
 _GROUP_PATHS = 8192
 _GROUP_FLOATS = 2**22
+# batch-mean CIs of invariant samples use at least this many batches
+_N_BATCHES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -66,23 +68,23 @@ _GROUP_FLOATS = 2**22
 # ---------------------------------------------------------------------------
 
 
-def psd_sqrt(mat: np.ndarray, hard_floor: float = -1e-6) -> tuple[np.ndarray, float]:
+def psd_sqrt(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Symmetric PSD square root with eigenvalue clipping.
 
     Returns (root, clip_magnitude) where clip_magnitude is the largest
     negative eigenvalue that was clipped to zero. Raises when an
-    eigenvalue falls below `hard_floor`, which signals corrupted input
-    rather than round-off.
+    eigenvalue falls below -1e-6, which signals corrupted input rather
+    than round-off.
     """
     mat = np.asarray(mat, dtype=float)
     sym = 0.5 * (mat + mat.T)
     if sym.shape == (1, 1):
         v = float(sym[0, 0])
-        if v < hard_floor:
+        if v < -1e-6:
             raise ConfigurationError(f"squared diffusion {v} is negative")
         return np.array([[np.sqrt(max(v, 0.0))]]), max(0.0, -v)
     w, vecs = np.linalg.eigh(sym)
-    if w.min() < hard_floor:
+    if w.min() < -1e-6:
         raise ConfigurationError(f"matrix eigenvalue {w.min()} below PSD floor")
     clip = max(0.0, float(-w.min()))
     w = np.maximum(w, 0.0)
@@ -120,26 +122,21 @@ def _psd_root_batch(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 class InvariantSample:
     """Pooled, thinned time samples approximating the frozen invariant law.
 
-    Weights are uniform and sum to one. `batch_index` partitions samples
-    into contiguous time blocks (per chain) for batch-mean confidence
+    Samples carry equal weight. `batch_index` partitions samples into
+    contiguous time blocks (per chain) for batch-mean confidence
     intervals. `ess` is the effective sample size of |y|^2 via integrated
     autocorrelation.
     """
 
     x: np.ndarray
     samples: np.ndarray
-    weights: np.ndarray
     batch_index: np.ndarray
     n_batches: int
     ess: float
-    burn_in: float
-    horizon: float
-    delta: float
-    thin: int
     flags: tuple = ()
 
-    def mean_ci(self, values: np.ndarray, level: float = 0.95):
-        """Weighted mean and batch-mean CI half-width of an integrand.
+    def mean_ci(self, values: np.ndarray):
+        """Mean and 95% batch-mean CI half-width of an integrand.
 
         `values` has one row per stored sample; trailing shape is kept.
         """
@@ -150,14 +147,14 @@ class InvariantSample:
         counts = np.bincount(self.batch_index, minlength=self.n_batches)
         bounds = np.searchsorted(self.batch_index, np.arange(self.n_batches))
         bm = np.add.reduceat(flat, bounds, axis=0) / counts[:, None]
-        tcrit = stats.t.ppf(0.5 + level / 2, self.n_batches - 1)
+        tcrit = stats.t.ppf(0.975, self.n_batches - 1)
         ci = tcrit * bm.std(axis=0, ddof=1) / np.sqrt(self.n_batches)
         ci = np.maximum(ci, 4 * np.finfo(float).eps * (1.0 + np.abs(mean)))
         shape = values.shape[1:]
         return mean.reshape(shape), ci.reshape(shape)
 
     def moment(self, p: float):
-        """Weighted moment E|Y|^p (scalar fast state returns E[Y^p])."""
+        """Moment E|Y|^p (scalar fast state returns E[Y^p])."""
         if self.samples.shape[1] == 1:
             return float(np.mean(self.samples[:, 0] ** p))
         return float(np.mean(np.linalg.norm(self.samples, axis=1) ** p))
@@ -177,7 +174,6 @@ class InvariantConfig:
     delta: float = 2.0**-8
     thin: int = 8
     y0: float = 0.0
-    n_batches: int = 32
 
 
 def _integrated_autocorr(series: np.ndarray) -> float:
@@ -204,8 +200,7 @@ def _integrated_autocorr(series: np.ndarray) -> float:
 def estimate_invariant_measure(model: ModelSpec, x, *, burn_in: float,
                                horizon: float, n_chains: int = 8,
                                delta: float = 2.0**-8, thin: int = 8,
-                               y0=0.0, n_batches: int = 32,
-                               stream: RngStream) -> InvariantSample:
+                               y0=0.0, stream: RngStream) -> InvariantSample:
     """Pooled time averages over independent frozen chains at slow state x.
 
     Chains run burn_in + horizon, the burn-in is discarded, and every
@@ -213,29 +208,60 @@ def estimate_invariant_measure(model: ModelSpec, x, *, burn_in: float,
     effective sample size comes from the autocorrelation of |y|^2; below
     100 the sample is flagged.
     """
-    collector = ThinCollector("y", _burn_steps(burn_in, horizon, delta), thin)
-    run_frozen_batch(model, x, y0, horizon=burn_in + horizon, delta=delta,
-                     n_chains=n_chains, stream=stream, watchers=(collector,))
-    return _invariant_sample(x, collector.stacked(), burn_in=burn_in,
-                             horizon=horizon, delta=delta, thin=thin,
-                             n_batches=n_batches)
+    cfg = InvariantConfig(n_chains=n_chains, burn_in=burn_in, horizon=horizon,
+                          delta=delta, thin=thin, y0=y0)
+    return next(_invariant_samples(model, [x], cfg, [stream],
+                                   where="invariant measure"))
 
 
-def _burn_steps(burn_in: float, horizon: float, delta: float) -> int:
+def _invariant_samples(model, xs, cfg: InvariantConfig, streams, *, where):
+    """Invariant samples at the slow states xs, node i on streams[i], in
+    order; cfg's burn_in and horizon must be set.
+
+    Each node is one stream block of n_chains chains, so a group of nodes
+    runs as one wide frozen kernel with the draws, and so the numbers, of
+    one kernel per node. A group holds at most _GROUP_PATHS chains and
+    _GROUP_FLOATS retained sample floats (one node when a node alone
+    holds more), and its samples are dropped before the next group runs.
+    A blow-up names its node as `where` (formatted with i=node) and x.
+    """
+    chains, burn_in, horizon = cfg.n_chains, cfg.burn_in, cfg.horizon
     if burn_in < 0 or horizon <= 0:
         raise ConfigurationError("burn_in must be >= 0 and horizon > 0")
-    return int(round(burn_in / delta))
+    starts = np.stack([np.broadcast_to(np.asarray(x, dtype=float), (model.dim_slow,))
+                       for x in xs])
+    kept = int(round(horizon / cfg.delta)) // max(1, cfg.thin) + 1
+    per_group = max(1, min(_GROUP_PATHS // chains,
+                           _GROUP_FLOATS // (chains * kept * model.dim_fast)))
+    for first in range(0, len(starts), per_group):
+        members = range(first, min(len(starts), first + per_group))
+        collector = ThinCollector("y", int(round(burn_in / cfg.delta)), cfg.thin)
+        try:
+            run_frozen_batch(
+                model, np.repeat(starts[first:members.stop], chains, axis=0),
+                cfg.y0, horizon=burn_in + horizon, delta=cfg.delta,
+                n_chains=len(members) * chains,
+                stream=[(streams[i], chains) for i in members],
+                watchers=(collector,))
+        except BlowUpError as exc:
+            i = first + exc.block
+            x = starts[i].tolist()
+            x = x[0] if len(x) == 1 else x
+            raise BlowUpError(exc.time, exc.paths,
+                              where=f"{where.format(i=i)} (x={x!r})") from exc
+        for j, i in enumerate(members):
+            yield _invariant_sample(
+                xs[i], collector.stacked(slice(j * chains, (j + 1) * chains)))
 
 
-def _invariant_sample(x, stacked: np.ndarray, *, burn_in, horizon, delta,
-                      thin, n_batches) -> InvariantSample:
+def _invariant_sample(x, stacked: np.ndarray) -> InvariantSample:
     """Pool the thinned post-burn-in states (kept, chains, m) of the
     chains at slow state x, with batch indices and the ESS of |y|^2."""
     kept, chains, m = stacked.shape
     series = np.transpose(stacked, (1, 0, 2))          # (chains, kept, m)
     samples = series.reshape(chains * kept, m)
 
-    per_chain = max(1, int(np.ceil(n_batches / chains)))
+    per_chain = max(1, int(np.ceil(_N_BATCHES / chains)))
     n_batches_eff = per_chain * chains
     block = (np.arange(kept) * per_chain) // kept      # (kept,)
     batch_index = (np.arange(chains)[:, None] * per_chain + block[None, :]).reshape(-1)
@@ -248,14 +274,9 @@ def _invariant_sample(x, stacked: np.ndarray, *, burn_in, horizon, delta,
     return InvariantSample(
         x=np.atleast_1d(np.asarray(x, dtype=float)),
         samples=samples,
-        weights=np.full(len(samples), 1.0 / len(samples)),
         batch_index=batch_index,
         n_batches=n_batches_eff,
         ess=float(ess),
-        burn_in=float(burn_in),
-        horizon=float(horizon),
-        delta=float(delta),
-        thin=int(thin),
         flags=flags,
     )
 
@@ -337,8 +358,7 @@ class AveragedTable:
 
     Piecewise-linear interpolation between nodes; queries outside the box
     follow the extrapolation policy ("clamp" returns the boundary value
-    and counts the event, "error" raises). Interpolated CI queries
-    inherit the larger neighboring half-width. Stored diffusion nodes are
+    and counts the event, "error" raises). Stored diffusion nodes are
     symmetric PSD, so linear interpolation stays PSD.
     """
 
@@ -358,10 +378,6 @@ class AveragedTable:
             raise ConfigurationError(f"extrapolation must be one of {_EXTRAPOLATIONS}")
         if len(self.axes) != 1:
             raise ConfigurationError("averaged tables are built on 1-d slow grids")
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
 
     def _locate(self, x: np.ndarray):
         g = self.axes[0]
@@ -383,10 +399,6 @@ class AveragedTable:
         lo = self.drift_values[idx]
         hi = self.drift_values[idx + 1]
         return lo + w[:, None] * (hi - lo)
-
-    def drift_ci_at(self, x: np.ndarray) -> np.ndarray:
-        idx, _ = self._locate(x)
-        return np.maximum(self.drift_ci[idx], self.drift_ci[idx + 1])
 
     def diff2(self, x: np.ndarray) -> np.ndarray:
         idx, w = self._locate(x)
@@ -433,6 +445,7 @@ def build_averaged_table(model: ModelSpec, box, nodes: int,
                                              inv_cfg.delta, stream.child("pilot"))
         burn_in = pilot_burn if burn_in is None else burn_in
         horizon = pilot_hor if horizon is None else horizon
+    inv_cfg = replace(inv_cfg, burn_in=burn_in, horizon=horizon)
 
     n = model.dim_slow
     drift_values = np.empty((nodes, n))
@@ -440,38 +453,15 @@ def build_averaged_table(model: ModelSpec, box, nodes: int,
     diff2_values = np.empty((nodes, n, n))
     diff2_ci = np.empty((nodes, n, n))
     max_clip = 0.0
-    # Each node is one stream block of n_chains chains, so a group of
-    # nodes runs as one wide frozen kernel with the draws, and so the
-    # numbers, of one kernel per node.
-    chains = inv_cfg.n_chains
-    burn_steps = _burn_steps(burn_in, horizon, inv_cfg.delta)
-    kept = int(round(horizon / inv_cfg.delta)) // max(1, inv_cfg.thin) + 1
-    per_group = max(1, min(_GROUP_PATHS // chains,
-                           _GROUP_FLOATS // (chains * kept * model.dim_fast)))
-    for first in range(0, nodes, per_group):
-        members = range(first, min(nodes, first + per_group))
-        collector = ThinCollector("y", burn_steps, inv_cfg.thin)
-        try:
-            run_frozen_batch(
-                model, np.repeat(grid[first:members.stop], chains)[:, None],
-                inv_cfg.y0, horizon=burn_in + horizon, delta=inv_cfg.delta,
-                n_chains=len(members) * chains,
-                stream=[(stream.child(f"node:{i}"), chains) for i in members],
-                watchers=(collector,))
-        except BlowUpError as exc:
-            i = first + exc.block
-            raise BlowUpError(exc.time, exc.paths,
-                              where=f"table node {i} (x={float(grid[i])!r})") from exc
-        for j, i in enumerate(members):
-            inv = _invariant_sample(
-                grid[i], collector.stacked(slice(j * chains, (j + 1) * chains)),
-                burn_in=burn_in, horizon=horizon, delta=inv_cfg.delta,
-                thin=inv_cfg.thin, n_batches=inv_cfg.n_batches)
-            drift_values[i], drift_ci[i] = averaged_drift(model, grid[i], inv)
-            ad = averaged_diffusion(model, grid[i], inv)
-            diff2_values[i], diff2_ci[i] = ad.matrix, ad.ci
-            max_clip = max(max_clip, ad.clip)
-            del inv, ad     # before the next node's samples exist
+    samples = _invariant_samples(
+        model, grid, inv_cfg, [stream.child(f"node:{i}") for i in range(nodes)],
+        where="table node {i}")
+    for i, inv in enumerate(samples):
+        drift_values[i], drift_ci[i] = averaged_drift(model, grid[i], inv)
+        ad = averaged_diffusion(model, grid[i], inv)
+        diff2_values[i], diff2_ci[i] = ad.matrix, ad.ci
+        max_clip = max(max_clip, ad.clip)
+        del inv, ad     # before the next node's samples exist
 
     for label, vals, cis in (("drift", drift_values, drift_ci),
                              ("diffusion", diff2_values, diff2_ci)):
@@ -616,6 +606,8 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
     k = len(ys)
     if t_cut <= 0:
         raise ConfigurationError("t_cut must be positive")
+    if n_traj < 2:
+        raise ConfigurationError("a corrector CI needs n_traj >= 2")
     if not 0 < k == len(streams):
         raise ConfigurationError(
             f"need one stream per fast start, not {k} starts and "

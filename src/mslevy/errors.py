@@ -40,7 +40,3 @@ class TableValidationError(MslevyError):
 class DecayFitError(MslevyError):
     """Fitted ergodicity decay rate is not positive; truncated time
     integrals are not demonstrably convergent at this budget."""
-
-
-class NoiseDominatedError(MslevyError):
-    """Monte Carlo noise exceeds the signal; the estimate is withheld."""

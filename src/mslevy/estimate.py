@@ -31,7 +31,6 @@ __all__ = [
     "DeltaPolicy",
     "FastMomentReport",
     "fit_order",
-    "mc_mean_ci",
     "bootstrap_ci",
     "strong_error",
     "weak_error",
@@ -40,6 +39,9 @@ __all__ = [
 ]
 
 _DEGENERATE_REASON = "degenerate: exact agreement"
+_DELTA_FLOOR = 2.0**-16
+_CHECKPOINT_FRACS = (0.25, 0.5, 0.75, 1.0)
+_BOOT_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,11 @@ class DeltaPolicy:
         discretization bias is common-mode across the sweep.
     scaled: delta = eps * 2^-fast_exp, keeping the effective fast substep
         delta/eps constant across the sweep.
-    The step never goes below `floor`.
+    The step never goes below 2^-16.
     """
 
     mode: str = "global"
     fast_exp: int = 6
-    floor: float = 2.0**-16
 
     def __post_init__(self):
         if self.mode not in ("global", "scaled"):
@@ -98,10 +99,10 @@ class DeltaPolicy:
 
     def delta_for(self, eps: float, eps_min: float) -> float:
         base = (eps if self.mode == "scaled" else eps_min) * 2.0 ** (-self.fast_exp)
-        return max(base, self.floor)
+        return max(base, _DELTA_FLOOR)
 
     def to_dict(self):
-        return {"mode": self.mode, "fast_exp": self.fast_exp, "floor": self.floor}
+        return {"mode": self.mode, "fast_exp": self.fast_exp, "floor": _DELTA_FLOOR}
 
 
 @dataclass
@@ -177,18 +178,8 @@ class ErrorReport:
         }
 
 
-def mc_mean_ci(samples, confidence: float = 0.95):
-    """Sample mean and normal-theory CI half-width."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ConfigurationError("need at least two samples for a CI")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
-    half = z * samples.std(ddof=1) / np.sqrt(samples.size)
-    return float(samples.mean()), float(half)
-
-
 def bootstrap_ci(samples, statistic, n_boot: int, confidence: float,
-                 stream: RngStream, chunk: int = 128):
+                 stream: RngStream):
     """Percentile bootstrap CI of statistic(resampled paths).
 
     `statistic` maps a (k, n_samples) resample block to (k,) values.
@@ -201,7 +192,7 @@ def bootstrap_ci(samples, statistic, n_boot: int, confidence: float,
     out = np.empty(n_boot)
     done = 0
     while done < n_boot:
-        k = min(chunk, n_boot - done)
+        k = min(_BOOT_CHUNK, n_boot - done)
         idx = gen.integers(0, n, size=(k, n))
         out[done:done + k] = statistic(idx)
         done += k
@@ -222,7 +213,7 @@ def _prepare_eps(eps) -> np.ndarray:
 def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
                  n_paths: int, x0, y0, delta_policy: DeltaPolicy | None = None,
                  n_boot: int = 1000, confidence: float = 0.95,
-                 scheme: str = "tamed_euler", stream: RngStream) -> ErrorReport:
+                 stream: RngStream) -> ErrorReport:
     """Pathwise error sweep: per eps, (E sup_t |X^eps - Xbar|^p)^(1/p) from
     coupled pairs, bootstrap CIs, and the fitted log-log order.
 
@@ -238,8 +229,7 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
     errors, halves, counts, clamps = [], [], [], []
     for j, e in enumerate(eps):
         delta = policy.delta_for(e, eps[-1])
-        cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end,
-                                       scheme=scheme)
+        cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end)
         out = _integrate.run_pair_batch(model, avg, x0, y0, cfg, n_paths,
                                         stream.child(f"strong:{j}"))
         sup = out["sup"]
@@ -266,7 +256,7 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
         "x0": np.asarray(x0, dtype=float).tolist(),
         "y0": np.asarray(y0, dtype=float).tolist(),
         "delta_policy": policy.to_dict(),
-        "scheme": scheme,
+        "scheme": "tamed_euler",
         "seed": [stream.master_seed, stream.stream_id, list(stream.tags)],
         "confidence": confidence,
         "clamped": clamps,
@@ -279,11 +269,11 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
 
 def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
                n_paths: int, mode: str = "coupled_difference",
-               checkpoint_fracs=(0.25, 0.5, 0.75, 1.0),
                delta_policy: DeltaPolicy | None = None, n_boot: int = 1000,
-               confidence: float = 0.95, scheme: str = "tamed_euler",
-               x0=0.0, y0=0.0, stream: RngStream) -> ErrorReport:
-    """Weak error sweep: sup over checkpoints of |E phi(X^eps_t) - E phi(Xbar_t)|.
+               confidence: float = 0.95, x0=0.0, y0=0.0,
+               stream: RngStream) -> ErrorReport:
+    """Weak error sweep: sup over the checkpoints t_end/4, t_end/2,
+    3 t_end/4 and t_end of |E phi(X^eps_t) - E phi(Xbar_t)|.
 
     coupled_difference drives both equations with the same noise (valid
     when sigma ignores the fast state, where the two averaged equations
@@ -300,12 +290,11 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
         raise ConfigurationError("independent mode needs averaged diffusion data")
     eps = _prepare_eps(eps)
     policy = delta_policy or DeltaPolicy()
-    cps = tuple(float(f) * t_end for f in checkpoint_fracs)
+    cps = tuple(f * t_end for f in _CHECKPOINT_FRACS)
     errors, halves, counts, clamps = [], [], [], []
     for j, e in enumerate(eps):
         delta = policy.delta_for(e, eps[-1])
-        cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end,
-                                       scheme=scheme)
+        cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end)
         if mode == "coupled_difference":
             out = _integrate.run_pair_batch(model, avg, x0, y0, cfg, n_paths,
                                             stream.child(f"weak:{j}"),
@@ -372,7 +361,7 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
         "x0": np.asarray(x0, dtype=float).tolist(),
         "y0": np.asarray(y0, dtype=float).tolist(),
         "delta_policy": policy.to_dict(),
-        "scheme": scheme,
+        "scheme": "tamed_euler",
         "seed": [stream.master_seed, stream.stream_id, list(stream.tags)],
         "confidence": confidence,
         "clamped": clamps,

@@ -119,36 +119,6 @@ class PathSample:
                 raise AssertionError("state rows must match the grid")
         return self
 
-    def save_csv(self, path):
-        """Trace dump: time, state components, event flag, mark.
-
-        Rows at jump times carry flag 1 and the applied mark; elsewhere
-        flag 0 and mark 0. 17 significant digits, '.' decimals.
-        """
-        by_time = {}
-        for ev in self.events:
-            by_time.setdefault(ev.time, ev)
-        header = ["time"]
-        blocks = []
-        if self.slow is not None:
-            header += [f"slow_{i}" for i in range(self.slow.shape[1])]
-            blocks.append(self.slow)
-        if self.fast is not None:
-            header += [f"fast_{i}" for i in range(self.fast.shape[1])]
-            blocks.append(self.fast)
-        header += ["event", "mark"]
-        lines = [",".join(header)]
-        for k, t in enumerate(self.times):
-            ev = by_time.get(float(t))
-            row = [t]
-            for b in blocks:
-                row.extend(b[k])
-            row.append(1.0 if ev is not None else 0.0)
-            row.append(ev.mark if ev is not None else 0.0)
-            lines.append(",".join(format(float(v), ".17g") for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
     def replay_jumps(self, model: ModelSpec) -> bool:
         """Re-evaluate every logged event through the coefficient maps.
 
@@ -771,13 +741,12 @@ def run_pair_batch(model: ModelSpec, avg, x0, y0, cfg: StepperConfig,
 
 def run_frozen_batch(model: ModelSpec, x, y0, horizon: float, delta: float,
                      n_chains: int, stream: RngStream, *, watchers=(),
-                     checkpoints=(), scheme: str = "tamed_euler",
-                     record: bool = False):
+                     checkpoints=(), record: bool = False):
     """Vectorized frozen-equation chains at a fixed slow state `x`, or at
     one slow state per chain (shape (n_chains, dim), e.g. with stream
     blocks); with `record` (one chain), the path of the fast state."""
     return _drive(lambda k: _build_frozen(k, model, x, y0),
-                  n_chains, horizon, delta, scheme, stream, frozen=True,
+                  n_chains, horizon, delta, "tamed_euler", stream, frozen=True,
                   outputs={"terminal_fast": "y"}, paths={"path": (None, "y")},
                   watchers=watchers, checkpoints=checkpoints, record=record)
 

@@ -81,19 +81,6 @@ class AssumptionParams:
             if not 0 <= z < 1:
                 raise ConfigurationError("growth powers must lie in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "growth_exp": self.growth_exp,
-            "coercivity_exp": self.coercivity_exp,
-            "contraction_rate": self.contraction_rate,
-            "dissipation_rate": self.dissipation_rate,
-            "jump_lipschitz": self.jump_lipschitz,
-            "diffusion_growth_exp": self.diffusion_growth_exp,
-            "jump_growth_exp": self.jump_growth_exp,
-            "moment_order": self.moment_order,
-            "drift_monotone_bound": self.drift_monotone_bound,
-        }
-
 
 _PROBE_SEED = 0x5EED_CAFE
 
@@ -480,9 +467,10 @@ def _mono_ratio(model, x1, x2, y):
     return np.sum(db * dx, axis=1) / np.sum(dx * dx, axis=1)
 
 
-def check_fast_dissipativity(model: ModelSpec, probes: int, box, stream: RngStream,
-                             q: float | None = None) -> AssumptionReport:
-    """Coercivity of the fast drift: <f(x,y), y> <= -lam(|y|^2+|y|^q) + C.
+def check_fast_dissipativity(model: ModelSpec, probes: int, box,
+                             stream: RngStream) -> AssumptionReport:
+    """Coercivity of the fast drift: <f(x,y), y> <= -lam(|y|^2+|y|^q) + C,
+    with q the declared coercivity exponent (2 without declared params).
 
     The fitted rate is the worst ratio -<f,y>/(|y|^2+|y|^q) over probes in
     the outer shell |y| >= box/2, where the additive constant is
@@ -491,8 +479,7 @@ def check_fast_dissipativity(model: ModelSpec, probes: int, box, stream: RngStre
     if probes < 1:
         raise ConfigurationError("probes must be >= 1")
     sx, sy = _boxes(model, box)
-    if q is None:
-        q = model.params.coercivity_exp if model.params else 2.0
+    q = model.params.coercivity_exp if model.params else 2.0
     gen = stream.child("dissipativity").generator()
     x = gen.uniform(-sx, sx, (probes, model.dim_slow))
     # half the probes forced into the shell so the fit never starves

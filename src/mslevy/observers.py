@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .integrate import _norm
+
 __all__ = [
     "ThinCollector",
     "MeanCurve",
@@ -94,10 +96,6 @@ class MeanCurve:
         return np.asarray(self.spreads)[:, block] / np.sqrt(n)
 
 
-def _batch_norm(a: np.ndarray) -> np.ndarray:
-    return np.abs(a[:, 0]) if a.shape[1] == 1 else np.sqrt((a * a).sum(axis=1))
-
-
 class MarginalMomentMax:
     """Running max over the grid of the cross-path mean of |state|^p,
     remembering the standard error at the maximizing time."""
@@ -109,7 +107,7 @@ class MarginalMomentMax:
         self.se = 0.0
 
     def _stat(self, states):
-        v = _batch_norm(states[self.name]) ** self.p
+        v = _norm(states[self.name]) ** self.p
         return float(v.mean()), float(v.std() / np.sqrt(v.size))
 
     def start(self, states):
@@ -129,10 +127,10 @@ class PathwiseSup:
         self.value = None
 
     def start(self, states):
-        self.value = _batch_norm(states[self.name]).copy()
+        self.value = _norm(states[self.name]).copy()
 
     def observe(self, step, t, states):
-        cur = _batch_norm(states[self.name])
+        cur = _norm(states[self.name])
         if self.value is None:
             self.value = cur.copy()
         else:

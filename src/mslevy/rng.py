@@ -71,15 +71,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def as_generator(stream) -> np.random.Generator:
-    """Accept either an RngStream or an already-opened Generator."""
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    if isinstance(stream, np.random.Generator):
-        return stream
-    raise ConfigurationError(f"expected RngStream or Generator, got {type(stream)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Jump-size families
 # ---------------------------------------------------------------------------
@@ -102,9 +93,6 @@ class PointMass:
 
     def quadrature(self, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
         return np.array([float(self.value)]), np.array([1.0])
-
-    def to_dict(self) -> dict:
-        return {"kind": "point_mass", "value": float(self.value)}
 
 
 @dataclass(frozen=True)
@@ -134,9 +122,6 @@ class Uniform:
         mid = 0.5 * (self.hi + self.lo)
         # weights of leggauss sum to 2; the density is 1/(hi-lo).
         return mid + half * nodes, 0.5 * weights
-
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", "lo": float(self.lo), "hi": float(self.hi)}
 
 
 @dataclass(frozen=True)
@@ -183,14 +168,6 @@ class TruncatedGaussian:
         dens = _phi((x - self.mu) / self.sd) / (self.sd * z)
         w = weights * half * dens
         return x, w / w.sum()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "truncated_gaussian",
-            "mu": float(self.mu),
-            "sd": float(self.sd),
-            "bound": float(self.bound),
-        }
 
 
 def _phi(x):
@@ -248,17 +225,14 @@ class JumpMeasureSpec:
         if not np.isfinite(self.m2):
             raise ConfigurationError("second mark moment must be finite")
 
-    def to_dict(self) -> dict:
-        return {"intensity": float(self.intensity), "size": self.size.to_dict()}
-
     @classmethod
     def from_dict(cls, d: dict) -> "JumpMeasureSpec":
         return cls(intensity=d["intensity"], size=size_family_from_dict(d["size"]))
 
 
-def default_jump_measure(intensity: float = 1.0) -> JumpMeasureSpec:
-    """Mean-zero bounded marks used by the built-in example models."""
-    return JumpMeasureSpec(intensity=intensity, size=Uniform(-0.5, 0.5))
+def default_jump_measure() -> JumpMeasureSpec:
+    """Unit-rate mean-zero bounded marks used by the built-in example models."""
+    return JumpMeasureSpec(intensity=1.0, size=Uniform(-0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +241,7 @@ def default_jump_measure(intensity: float = 1.0) -> JumpMeasureSpec:
 
 
 def sample_jump_times_batch(
-    intensity: float, horizon: float, n_paths: int, stream
+    intensity: float, horizon: float, n_paths: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Event times for many independent paths at once.
 
@@ -281,7 +255,7 @@ def sample_jump_times_batch(
         raise ConfigurationError("horizon must be positive")
     if intensity == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    gen = as_generator(stream)
+    gen = stream.generator()
     counts = gen.poisson(intensity * horizon, n_paths)
     total = int(counts.sum())
     times = gen.uniform(0.0, horizon, total)

@@ -9,6 +9,7 @@ A rename or a changed argument name would only surface when
 import dataclasses
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -75,10 +76,33 @@ def test_patched_names_are_looked_up_at_call_time():
     # the tracer replaces module attributes, so callers must not bind them early
     assert "compile_expression" in model.model_from_config.__code__.co_names
     assert "get_model" in cli.run.__code__.co_names
-    # so the tracer's kernel spans also see the table's and the
-    # semigroup check's fused frozen runs
-    assert "run_frozen_batch" in ergodic.build_averaged_table.__code__.co_names
+    # so the tracer's kernel spans also see the table's, the invariant
+    # estimate's and the semigroup check's fused frozen runs
+    assert "run_frozen_batch" in ergodic._invariant_samples.__code__.co_names
+    for fn in (ergodic.build_averaged_table, ergodic.estimate_invariant_measure):
+        assert "_invariant_samples" in fn.__code__.co_names
     assert "run_frozen_batch" in ergodic.poisson_cells.__code__.co_names
     assert "poisson_cells" in cli.semigroup_identity_check.__code__.co_names
     for fn in (estimate.strong_error, estimate.weak_error):
         assert {"_integrate", "run_pair_batch"} <= set(fn.__code__.co_names)
+
+
+def test_cli_builds_tables_through_the_patched_builder(tmp_path, monkeypatch):
+    # bench/worker.py --time-table replaces ergodic.build_averaged_table,
+    # so both CLI table paths must look it up when they run
+    built = []
+    build = ergodic.build_averaged_table
+
+    def timed(*args, **kwargs):
+        built.append(args[2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ergodic, "build_averaged_table", timed)
+    tb = {"box": [-1.0, 1.0], "nodes": 3, "chains": 4, "burn_in": 1.0,
+          "horizon": 4.0, "delta": 2**-6, "thin": 8, "y0": 0.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "example_2_8", "table": tb}))
+    assert cli.run("avg-table", cfg, out_dir=tmp_path / "a") == 0
+    cli._get_table(model.example_2_8(), "example_2_8", tb, "clamp", 0,
+                   tmp_path, rng.RngStream(0))
+    assert built == [3, 3]

@@ -92,6 +92,20 @@ class TestExitCodes:
         assert run("fast-moments", p, out_dir=out) == 3
         assert "error_code=3" in (out / "error.log").read_text()
 
+    @pytest.mark.parametrize("budget, key", [
+        ({"n_traj": 1}, "n_traj"),
+        ({"endpoint_draws": 1, "semigroup_s": 0.5}, "endpoint_draws"),
+    ])
+    def test_single_draw_corrector_budget_exit_2(self, tmp_path, budget, key):
+        # one trajectory or one endpoint draw has no spread: its CI is NaN
+        p = write_cfg(tmp_path, {"model": dict(JUMP_OU_CFG), "x": 0.0, "y": 1.7,
+                                 "t_cut": 2.0, "chains": 4, "burn_in": 1.0,
+                                 "horizon": 5.0, "delta": 2**-6, **budget})
+        out = tmp_path / "out"
+        assert run("poisson-check", p, out_dir=out) == 2
+        assert f"{key}: expected an integer >= 2" in (out / "error.log").read_text()
+        assert all(b"NaN" not in data for data in read_all(out).values())
+
 
 class TestValidateModel:
     def test_example_2_7_passes(self, tmp_path):

@@ -8,7 +8,6 @@ from mslevy.estimate import (
     DeltaPolicy,
     fast_moment_sweep,
     fit_order,
-    mc_mean_ci,
     strong_error,
     make_test_function,
     weak_error,
@@ -49,31 +48,6 @@ class TestFitOrder:
             fit_order([0.1, 0.1, 0.05], [1.0, 1.0, 0.5])
 
 
-class TestMcMeanCi:
-    def test_constant_samples(self):
-        assert mc_mean_ci([5.0, 5.0, 5.0]) == (5.0, 0.0)
-
-    def test_two_point_closed_form(self):
-        from scipy.stats import norm
-
-        mean, half = mc_mean_ci([0.0, 2.0])
-        assert mean == 1.0
-        # sd = sqrt(2), half = z * sqrt(2)/sqrt(2) = z
-        assert half == pytest.approx(norm.ppf(0.975), abs=1e-12)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ConfigurationError):
-            mc_mean_ci([1.0])
-
-    def test_clt_coverage(self):
-        hits = 0
-        for seed in range(100):
-            draws = RngStream(300, seed).generator().standard_normal(10_000)
-            mean, _ = mc_mean_ci(draws)
-            hits += abs(mean) <= 0.04
-        assert hits >= 94
-
-
 class TestDeltaPolicy:
     def test_global_and_scaled(self):
         pol = DeltaPolicy(mode="global", fast_exp=6)
@@ -82,8 +56,10 @@ class TestDeltaPolicy:
         assert pol.delta_for(2**-3, 2**-7) == 2**-11
 
     def test_floor(self):
-        pol = DeltaPolicy(mode="global", fast_exp=6, floor=2**-10)
-        assert pol.delta_for(2**-5, 2**-9) == 2**-10
+        # eps_min 2^-11 at fast_exp 6 asks for 2^-17, below the 2^-16 floor
+        pol = DeltaPolicy(mode="global", fast_exp=6)
+        assert pol.delta_for(2**-5, 2**-11) == 2**-16
+        assert pol.to_dict()["floor"] == 2**-16
 
     def test_bad_mode(self):
         with pytest.raises(ConfigurationError):

@@ -357,17 +357,20 @@ class TestAveragedWeak:
 
 
 class TestTraceDump:
-    def test_csv_columns_and_event_flags(self, tmp_path):
+    def test_csv_columns_and_event_flags(self):
+        # one slow and one fast row per grid time; each event sits on its
+        # own grid row, which holds the post-jump state of its target
         m = example_2_7("state_linear")
         cfg = StepperConfig(epsilon=2**-4, delta=2**-8, t_end=0.5)
         path = _one_path(m, 1.0, 1.0, cfg, 62)
-        f = tmp_path / "trace.csv"
-        path.save_csv(f)
-        lines = f.read_text().splitlines()
-        assert lines[0] == "time,slow_0,fast_0,event,mark"
-        assert len(lines) == 1 + len(path.times)
-        flagged = [ln for ln in lines[1:] if ln.split(",")[3] == "1"]
-        assert len(flagged) == len({e.time for e in path.events})
+        assert path.slow.shape == path.fast.shape == (len(path.times), 1)
+        event_times = [e.time for e in path.events]
+        assert len(event_times) == len(set(event_times)) > 0
+        rows = np.searchsorted(path.times, event_times)
+        np.testing.assert_array_equal(path.times[rows], event_times)
+        for ev, k in zip(path.events, rows):
+            state = path.slow if ev.target == "x" else path.fast
+            np.testing.assert_array_equal(state[k], ev.post)
 
 
 def _blocks_model():

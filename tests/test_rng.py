@@ -137,7 +137,7 @@ def test_declared_moment_mismatch_rejected():
 
 def test_compensator_first_moment_values():
     # the compensator of the mark-linear jump map is intensity * m1
-    spec = default_jump_measure(1.0)
+    spec = default_jump_measure()
     assert spec.intensity * spec.m1 == 0.0
     spec = JumpMeasureSpec(2.0, PointMass(0.3))
     assert spec.intensity * spec.m1 == pytest.approx(0.6)
@@ -183,10 +183,16 @@ def test_superposition_is_poisson_chi_square():
 
 
 def test_measure_round_trip():
-    for spec in (
-        default_jump_measure(2.5),
-        JumpMeasureSpec(1.0, PointMass(0.3)),
-        JumpMeasureSpec(0.5, TruncatedGaussian(0.0, 0.2, 1.0)),
+    # the nu1/nu2 blocks of a custom model config
+    for d, spec in (
+        ({"intensity": 2.5, "size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}},
+         JumpMeasureSpec(2.5, Uniform(-0.5, 0.5))),
+        ({"intensity": 1.0, "size": {"kind": "point_mass", "value": 0.3}},
+         JumpMeasureSpec(1.0, PointMass(0.3))),
+        ({"intensity": 0.5, "size": {"kind": "truncated_gaussian", "mu": 0.0,
+                                     "sd": 0.2, "bound": 1.0}},
+         JumpMeasureSpec(0.5, TruncatedGaussian(0.0, 0.2, 1.0))),
     ):
-        back = JumpMeasureSpec.from_dict(spec.to_dict())
-        assert back == spec
+        assert JumpMeasureSpec.from_dict(d) == spec
+    with pytest.raises(ConfigurationError):
+        JumpMeasureSpec.from_dict({"intensity": 1.0, "size": {"kind": "cauchy"}})
