@@ -27,7 +27,6 @@ from .ergodic import (
     load_averaged_table,
     poisson_cell,
     poisson_cells,
-    psd_sqrt,
     save_averaged_table,
 )
 from .estimate import (

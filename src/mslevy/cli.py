@@ -437,7 +437,7 @@ def _cmd_poisson_check(model, cfg, out, stream):
     lines = [f"corrector({x:g}, {y:g}) = {cell.value[0]:.5g} +- {cell.ci[0]:.2g}"
              f"  tail {cell.tail_bound:.2g} (rate {cell.decay_rate:.3g})"]
     if opts["semigroup_s"] is not None:
-        res = semigroup_identity_check(
+        res = ergodic.semigroup_identity_check(
             model, x, y, s=opts["semigroup_s"], t_cut=opts["t_cut"],
             n_traj=max(256, opts["n_traj"] // 8),
             endpoint_draws=opts["endpoint_draws"], delta=opts["delta"],
@@ -454,46 +454,6 @@ def _cmd_poisson_check(model, cfg, out, stream):
     if opts["semigroup_s"] is not None and not payload["semigroup"]["pass"]:
         code = 1
     return code, lines
-
-
-def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
-                             delta, avg_b, avg_b_ci, stream):
-    """Check cell(x,y) - E cell(x, Y_s) == integral_0^s E[b(x,Y_t) - avg] dt.
-
-    The right side is a fresh short-horizon run; the left side averages
-    corrector estimates over endpoint draws, so the identity is tested
-    without assuming it.
-    """
-    from .integrate import run_frozen_batch
-    from .observers import MeanCurve
-
-    ends = run_frozen_batch(model, x, y, horizon=s, delta=delta,
-                            n_chains=endpoint_draws,
-                            stream=stream.child("endpoints"))["terminal_fast"]
-    # the cell at y and one per endpoint run as the blocks of one kernel
-    cell_here, *cell_ends = ergodic.poisson_cells(
-        model, x, [y, *ends], t_cut=t_cut, n_traj=n_traj, delta=delta,
-        avg_b=avg_b, avg_b_ci=avg_b_ci,
-        streams=[stream.child("phi-at-y")]
-        + [stream.child(f"phi-end:{i}") for i in range(endpoint_draws)])
-    vals = np.array([c.value for c in cell_ends])
-    mean_end = vals.mean(axis=0)
-    se_end = vals.std(axis=0, ddof=1) / np.sqrt(endpoint_draws)
-
-    curve = MeanCurve(lambda st: model.slow_drift(st["x"], st["y"]))
-    run_frozen_batch(model, x, y, horizon=s, delta=delta,
-                     n_chains=4 * n_traj, stream=stream.child("short"),
-                     watchers=(curve,))
-    times, means = curve.curve()
-    gap = means - np.atleast_1d(avg_b)[None, :]
-    rhs = np.trapezoid(gap, times, axis=0)
-
-    lhs = cell_here.value - mean_end
-    ci = float(np.linalg.norm(cell_here.ci) + np.linalg.norm(se_end)
-               + s * float(np.linalg.norm(np.atleast_1d(avg_b_ci))))
-    ok = bool(np.linalg.norm(lhs - rhs) <= 3.0 * ci)
-    return {"lhs": float(np.linalg.norm(lhs)), "rhs": float(np.linalg.norm(rhs)),
-            "gap": float(np.linalg.norm(lhs - rhs)), "ci": ci, "pass": ok}
 
 
 def _cmd_ergodicity(model, cfg, out, stream):

@@ -40,7 +40,6 @@ __all__ = [
     "ExactAveraged",
     "PoissonCell",
     "DecayCurve",
-    "psd_sqrt",
     "estimate_invariant_measure",
     "averaged_drift",
     "averaged_diffusion",
@@ -49,6 +48,7 @@ __all__ = [
     "load_averaged_table",
     "poisson_cell",
     "poisson_cells",
+    "semigroup_identity_check",
     "ergodicity_decay",
 ]
 
@@ -68,49 +68,30 @@ _N_BATCHES = 32
 # ---------------------------------------------------------------------------
 
 
-def psd_sqrt(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetric PSD square root with eigenvalue clipping.
+# eigenvalues of a squared diffusion down to this floor are round-off
+_PSD_FLOOR = -1e-10
 
-    Returns (root, clip_magnitude) where clip_magnitude is the largest
-    negative eigenvalue that was clipped to zero. Raises when an
-    eigenvalue falls below -1e-6, which signals corrupted input rather
-    than round-off.
+
+def _psd_root_batch(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """PSD square roots of squared diffusions v (k, n, n) queried at x (k, n),
+    and the magnitude of the most negative eigenvalue clipped to zero.
+
+    Matrices are symmetrized and eigen-decomposed (a scalar is its own
+    eigenvalue); one below _PSD_FLOOR is corrupted input and raises.
     """
-    mat = np.asarray(mat, dtype=float)
-    sym = 0.5 * (mat + mat.T)
-    if sym.shape == (1, 1):
-        v = float(sym[0, 0])
-        if v < -1e-6:
-            raise ConfigurationError(f"squared diffusion {v} is negative")
-        return np.array([[np.sqrt(max(v, 0.0))]]), max(0.0, -v)
-    w, vecs = np.linalg.eigh(sym)
-    if w.min() < -1e-6:
-        raise ConfigurationError(f"matrix eigenvalue {w.min()} below PSD floor")
-    clip = max(0.0, float(-w.min()))
-    w = np.maximum(w, 0.0)
-    root = (vecs * np.sqrt(w)) @ vecs.T
-    return root, clip
-
-
-def _psd_root_batch(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """PSD square roots of squared diffusions v (k, n, n) queried at x (k, n).
-
-    Scalar entries take a plain square root; matrices are symmetrized
-    and eigen-decomposed with round-off (down to -1e-10) clipped to zero.
-    """
-    if v.shape[1:] == (1, 1):
-        bad = v[:, 0, 0] < 0
-        if bad.any():
-            raise ConfigurationError(
-                f"squared diffusion negative at x={x[bad][0]!r}"
-            )
-        return np.sqrt(v)
-    w, vecs = np.linalg.eigh(0.5 * (v + np.transpose(v, (0, 2, 1))))
-    if w.min() < -1e-10:
+    scalar = v.shape[1:] == (1, 1)
+    w, vecs = ((v[:, 0], None) if scalar
+               else np.linalg.eigh(0.5 * (v + np.transpose(v, (0, 2, 1)))))
+    low = float(w.min())
+    if low < _PSD_FLOOR:
         k = int(np.argmin(w.min(axis=1)))
         raise ConfigurationError(f"squared diffusion not PSD at x={x[k]!r}")
-    w = np.maximum(w, 0.0)
-    return np.einsum("kij,kj,klj->kil", vecs, np.sqrt(w), vecs)
+    clip = max(0.0, -low)
+    if clip:
+        w = np.maximum(w, 0.0)
+    if scalar:
+        return np.sqrt(w)[:, :, None], clip
+    return np.einsum("kij,kj,klj->kil", vecs, np.sqrt(w), vecs), clip
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +133,6 @@ class InvariantSample:
         ci = np.maximum(ci, 4 * np.finfo(float).eps * (1.0 + np.abs(mean)))
         shape = values.shape[1:]
         return mean.reshape(shape), ci.reshape(shape)
-
-    def moment(self, p: float):
-        """Moment E|Y|^p (scalar fast state returns E[Y^p])."""
-        if self.samples.shape[1] == 1:
-            return float(np.mean(self.samples[:, 0] ** p))
-        return float(np.mean(np.linalg.norm(self.samples, axis=1) ** p))
 
 
 @dataclass(frozen=True)
@@ -301,21 +276,21 @@ def averaged_drift(model: ModelSpec, x, inv: InvariantSample):
 @dataclass
 class AveragedDiffusion:
     matrix: np.ndarray
-    root: np.ndarray
     ci: np.ndarray
     clip: float
 
 
 def averaged_diffusion(model: ModelSpec, x, inv: InvariantSample) -> AveragedDiffusion:
-    """Invariant-measure average of sigma sigma^T at x and its PSD root."""
+    """Invariant-measure average of sigma sigma^T at x, with the eigenvalue
+    magnitude its PSD root would clip."""
     x = _require_same_x(model, x, inv)
     xs = np.broadcast_to(x, (len(inv.samples), model.dim_slow))
     sig = np.asarray(model.slow_diffusion(xs, inv.samples))
     outer = np.einsum("kid,kjd->kij", sig, sig)
     mean, ci = inv.mean_ci(outer)
     mean = 0.5 * (mean + mean.T)
-    root, clip = psd_sqrt(mean)
-    return AveragedDiffusion(matrix=mean, root=root, ci=ci, clip=clip)
+    _, clip = _psd_root_batch(mean[None], x[None])
+    return AveragedDiffusion(matrix=mean, ci=ci, clip=clip)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +324,7 @@ class ExactAveraged:
         return np.asarray(self._diff2(x), dtype=float)
 
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
-        return _psd_root_batch(self.diff2(x), x)
+        return _psd_root_batch(self.diff2(x), x)[0]
 
 
 @dataclass
@@ -407,7 +382,7 @@ class AveragedTable:
         return lo + w[:, None, None] * (hi - lo)
 
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
-        return _psd_root_batch(self.diff2(x), x)
+        return _psd_root_batch(self.diff2(x), x)[0]
 
     def node_count(self) -> int:
         return int(self.drift_values.shape[0])
@@ -679,6 +654,43 @@ def _cell(curve, j, per_path, avg_b, avg_b_ci, t_cut) -> PoissonCell:
         )
     return PoissonCell(value=value, ci=ci, tail_bound=tail, decay_rate=rate,
                        times=times, gap=gap_norm, gap_ci=1.96 * point_se)
+
+
+def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
+                             delta, avg_b, avg_b_ci, stream):
+    """Check cell(x,y) - E cell(x, Y_s) == integral_0^s E[b(x,Y_t) - avg] dt.
+
+    The right side is a fresh short-horizon run; the left side averages
+    corrector estimates over endpoint draws, so the identity is tested
+    without assuming it.
+    """
+    ends = run_frozen_batch(model, x, y, horizon=s, delta=delta,
+                            n_chains=endpoint_draws,
+                            stream=stream.child("endpoints"))["terminal_fast"]
+    # the cell at y and one per endpoint run as the blocks of one kernel
+    cell_here, *cell_ends = poisson_cells(
+        model, x, [y, *ends], t_cut=t_cut, n_traj=n_traj, delta=delta,
+        avg_b=avg_b, avg_b_ci=avg_b_ci,
+        streams=[stream.child("phi-at-y")]
+        + [stream.child(f"phi-end:{i}") for i in range(endpoint_draws)])
+    vals = np.array([c.value for c in cell_ends])
+    mean_end = vals.mean(axis=0)
+    se_end = vals.std(axis=0, ddof=1) / np.sqrt(endpoint_draws)
+
+    curve = MeanCurve(lambda st: model.slow_drift(st["x"], st["y"]))
+    run_frozen_batch(model, x, y, horizon=s, delta=delta,
+                     n_chains=4 * n_traj, stream=stream.child("short"),
+                     watchers=(curve,))
+    times, means = curve.curve()
+    gap = means - np.atleast_1d(avg_b)[None, :]
+    rhs = np.trapezoid(gap, times, axis=0)
+
+    lhs = cell_here.value - mean_end
+    ci = float(np.linalg.norm(cell_here.ci) + np.linalg.norm(se_end)
+               + s * float(np.linalg.norm(np.atleast_1d(avg_b_ci))))
+    ok = bool(np.linalg.norm(lhs - rhs) <= 3.0 * ci)
+    return {"lhs": float(np.linalg.norm(lhs)), "rhs": float(np.linalg.norm(rhs)),
+            "gap": float(np.linalg.norm(lhs - rhs)), "ci": ci, "pass": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ all five build, run and read out the kernel through one driver. A single
 path is a batch of one: `record=True` (with `n_paths=1`) returns it as a
 PathSample under `out["path"]`.
 
+Observers are a run's only side channel: `start` at t = 0, `observe`
+after every micro step, and the read-only hooks `on_advance` and
+`on_jump` on the jump-augmented grid (the protocol is in `observers`).
+Checkpoint snapshots, the coupled pair's `sup` and the recorded path are
+private observers that run after the caller's `watchers`.
+
 Blocks: `stream` may be a list of `(RngStream, n_paths)` pairs instead of
 one RngStream. The batch then holds the blocks' paths one after another,
 and each block draws its Wiener increments, event times and marks from
@@ -171,29 +177,14 @@ class _Component:
     wiener: str | None
     time_scale: float
     compensator: object = None
-    jump_measure: JumpMeasureSpec | None = None
-    jump_fn: object = None
 
 
-class _Recorder:
-    def __init__(self, names, states):
-        self.names = list(names)
-        self.times = [0.0]
-        self.values = {n: [states[n][0].copy()] for n in self.names}
-        self.events = []
-
-    def snapshot(self, t, states):
-        t = float(t)
-        if t <= self.times[-1]:
-            for n in self.names:
-                self.values[n][-1] = states[n][0].copy()
-            return
-        self.times.append(t)
-        for n in self.names:
-            self.values[n].append(states[n][0].copy())
-
-    def series(self, name):
-        return np.array(self.values[name]) if name in self.values else None
+@dataclass
+class _Channel:
+    name: str
+    measure: JumpMeasureSpec
+    rate: float
+    targets: list    # (component name, jump_fn)
 
 
 def _stream_blocks(stream, n_paths: int) -> list[tuple[RngStream, int]]:
@@ -222,13 +213,13 @@ class _Kernel:
         # row offsets of the blocks, closed by n_paths
         self.bounds = np.cumsum([0] + [n for _, n in self.blocks])
         self._rows = self.bounds    # block rows of the current advance
+        self.n_steps = max(1, int(np.ceil(self.t_end / self.delta - 1e-9)))
         self.components: list[_Component] = []
-        self.channels: list[dict] = []
+        self.channels: list[_Channel] = []
         self.states: dict[str, np.ndarray] = {}
         self.wiener: dict[str, tuple[int, list[np.random.Generator]]] = {}
-        self.sup_pair = None
-        self.running_sup = None
-        self.recorder = None
+        self._on_advance = []       # the run's observer hooks
+        self._on_jump = []
 
     # -- construction -----------------------------------------------------
 
@@ -247,22 +238,13 @@ class _Kernel:
 
     def add_channel(self, name, measure: JumpMeasureSpec, rate, targets):
         """targets: list of (component_name, jump_fn(sub, marks)->(k,dim))."""
-        self.channels.append(
-            {"name": name, "measure": measure, "rate": float(rate),
-             "targets": list(targets)}
-        )
+        self.channels.append(_Channel(name, measure, float(rate), list(targets)))
 
     def set_compensator(self, comp: _Component, measure: JumpMeasureSpec, jump_fn):
-        comp.jump_measure = measure
-        comp.jump_fn = jump_fn
         # each block probes its own rows, as a separate run would
         forms = [_build_compensator(jump_fn, measure, self._probe_subs(lo, hi))
                  for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
         comp.compensator = self._blockwise(forms, comp.dim)
-
-    def track_sup(self, name_a, name_b):
-        self.sup_pair = (name_a, name_b)
-        self.running_sup = _norm(self.states[name_a] - self.states[name_b])
 
     def _probe_subs(self, lo, hi):
         """Two perturbed copies of every starting state of rows lo:hi."""
@@ -300,7 +282,8 @@ class _Kernel:
 
     # -- stepping ----------------------------------------------------------
 
-    def _advance(self, idx, dt):
+    def _advance(self, idx, dt, end):
+        """Step rows idx (every row if None) by dt to their end time(s)."""
         states = self.states
         if idx is None:
             sub = states
@@ -308,7 +291,6 @@ class _Kernel:
         else:
             sub = {n: a[idx] for n, a in states.items()}
             k = len(idx)
-        dt = np.asarray(dt, dtype=float)
         # idx is ascending, so each block's rows are contiguous
         rows = self.bounds if idx is None else np.searchsorted(idx, self.bounds)
         self._rows = rows
@@ -347,13 +329,8 @@ class _Kernel:
         else:
             for n, v in out.items():
                 states[n][idx] = v
-        if self.sup_pair is not None:
-            a, b = self.sup_pair
-            d = _norm(out[a] - out[b])
-            if idx is None:
-                np.maximum(self.running_sup, d, out=self.running_sup)
-            else:
-                self.running_sup[idx] = np.maximum(self.running_sup[idx], d)
+        for hook in self._on_advance:
+            hook(idx, end, states)
 
     def _apply_jumps(self, paths, chans, marks, times):
         for ci, chan in enumerate(self.channels):
@@ -363,35 +340,21 @@ class _Kernel:
             idx = paths[m]
             z = marks[m]
             sub = {n: a[idx] for n, a in self.states.items()}
-            for tname, jfn in chan["targets"]:
-                inc = np.asarray(jfn(sub, z))
-                pre = sub[tname]
-                post = pre + inc
-                self.states[tname][idx] = post
-                if self.recorder is not None:
-                    ctx = {n: v[0].copy() for n, v in sub.items() if n != tname}
-                    self.recorder.events.append(JumpEvent(
-                        time=float(times[m][0]), mark=float(z[0]),
-                        channel=chan["name"], target=tname,
-                        pre=pre[0].copy(), post=post[0].copy(), context=ctx,
-                    ))
-            if self.sup_pair is not None:
-                a, b = self.sup_pair
-                d = _norm(self.states[a][idx] - self.states[b][idx])
-                self.running_sup[idx] = np.maximum(self.running_sup[idx], d)
+            for tname, jfn in chan.targets:
+                self.states[tname][idx] = sub[tname] + np.asarray(jfn(sub, z))
+            for hook in self._on_jump:
+                hook(idx, chan, z, times[m], sub, self.states)
 
     def _generate_events(self, n_steps):
         paths, times, chans, marks = [], [], [], []
         for ci, chan in enumerate(self.channels):
-            if chan["rate"] <= 0:
+            if chan.rate <= 0:
                 continue
             for (stream, n), start in zip(self.blocks, self.bounds):
                 p, t = sample_jump_times_batch(
-                    chan["rate"], self.t_end, n,
-                    stream.child(f"events:{chan['name']}"),
-                )
-                gen = stream.child(f"marks:{chan['name']}").generator()
-                z = chan["measure"].size.sample(gen, len(t))
+                    chan.rate, self.t_end, n, stream.child(f"events:{chan.name}"))
+                gen = stream.child(f"marks:{chan.name}").generator()
+                z = chan.measure.size.sample(gen, len(t))
                 paths.append(p + start)
                 times.append(t)
                 chans.append(np.full(len(t), ci, dtype=np.int64))
@@ -410,69 +373,49 @@ class _Kernel:
         offsets = np.searchsorted(step, np.arange(n_steps + 1))
         return offsets, p, t, c, z
 
-    def run(self, *, watchers=(), checkpoints=(), record=False):
-        P, dl, T = self.n_paths, self.delta, self.t_end
-        n_steps = max(1, int(np.ceil(T / dl - 1e-9)))
-        if record:
-            if P != 1:
-                raise ConfigurationError("path recording requires a single path")
-            self.recorder = _Recorder([c.name for c in self.components], self.states)
+    def run(self, observers=()):
+        """Step every path to t_end, calling the observers' hooks (see the
+        module docstring); the states are then the terminal states."""
+        P, dl, T, n_steps = self.n_paths, self.delta, self.t_end, self.n_steps
         offsets, ev_p, ev_t, ev_c, ev_z = self._generate_events(n_steps)
+        hooks = {name: [getattr(w, name) for w in observers if hasattr(w, name)]
+                 for name in ("start", "observe", "on_advance", "on_jump")}
+        self._on_advance, self._on_jump = hooks["on_advance"], hooks["on_jump"]
+        for start in hooks["start"]:
+            start(self.states)
 
-        cp_map = _checkpoint_steps(checkpoints, dl, T, n_steps)
-        snapshots: dict[float, dict[str, np.ndarray]] = {}
-
-        for w in watchers:
-            if hasattr(w, "start"):
-                w.start(self.states)
-
-        for s in range(n_steps):
-            t0 = s * dl
-            t1 = min(T, (s + 1) * dl)
-            lo, hi = offsets[s], offsets[s + 1]
-            if lo == hi:
-                self._advance(None, np.full(P, t1 - t0))
-                if self.recorder is not None:
-                    self.recorder.snapshot(t1, self.states)
-            else:
-                p = ev_p[lo:hi]
-                tt = ev_t[lo:hi]
-                cc = ev_c[lo:hi]
-                zz = ev_z[lo:hi]
-                upaths, starts, counts = np.unique(p, return_index=True,
-                                                   return_counts=True)
-                bound = np.full(P, t1)
-                bound[upaths] = tt[starts]
-                self._advance(None, bound - t0)
-                nxt = np.full(hi - lo, t1)
-                same = p[1:] == p[:-1]
-                nxt[:-1][same] = tt[1:][same]
-                ranks = np.arange(hi - lo) - np.repeat(starts, counts)
-                for r in range(int(counts.max())):
-                    sel = ranks == r
-                    self._apply_jumps(p[sel], cc[sel], zz[sel], tt[sel])
-                    if self.recorder is not None:
-                        self.recorder.snapshot(tt[sel][0], self.states)
-                    self._advance(p[sel], nxt[sel] - tt[sel])
-                    if self.recorder is not None:
-                        self.recorder.snapshot(nxt[sel][0], self.states)
-                if self.recorder is not None:
-                    self.recorder.snapshot(t1, self.states)
-            bad = None
-            for comp in self.components:
-                arr = self.states[comp.name]
-                ok = np.isfinite(arr).all(axis=1) & (np.abs(arr) < _STATE_CAP).all(axis=1)
-                if not ok.all():
-                    bad = np.flatnonzero(~ok)
-                    break
-            if bad is not None:
-                raise self._blow_up(t1, bad)
-            for w in watchers:
-                w.observe(s, t1, self.states)
-            if s in cp_map:
-                snapshots[cp_map[s]] = {c.name: self.states[c.name].copy()
-                                        for c in self.components}
-        return snapshots
+        # a non-finite state is reported as BlowUpError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(n_steps):
+                t0 = s * dl
+                t1 = min(T, (s + 1) * dl)
+                lo, hi = offsets[s], offsets[s + 1]
+                if lo == hi:
+                    self._advance(None, np.full(P, t1 - t0), t1)
+                else:
+                    p, tt, cc, zz = ev_p[lo:hi], ev_t[lo:hi], ev_c[lo:hi], ev_z[lo:hi]
+                    upaths, starts, counts = np.unique(p, return_index=True,
+                                                       return_counts=True)
+                    bound = np.full(P, t1)
+                    bound[upaths] = tt[starts]
+                    self._advance(None, bound - t0, bound)
+                    nxt = np.full(hi - lo, t1)
+                    same = p[1:] == p[:-1]
+                    nxt[:-1][same] = tt[1:][same]
+                    ranks = np.arange(hi - lo) - np.repeat(starts, counts)
+                    for r in range(int(counts.max())):
+                        sel = ranks == r
+                        ps, ts, ends = p[sel], tt[sel], nxt[sel]
+                        self._apply_jumps(ps, cc[sel], zz[sel], ts)
+                        self._advance(ps, ends - ts, ends)
+                for comp in self.components:
+                    arr = self.states[comp.name]
+                    ok = (np.isfinite(arr).all(axis=1)
+                          & (np.abs(arr) < _STATE_CAP).all(axis=1))
+                    if not ok.all():
+                        raise self._blow_up(t1, np.flatnonzero(~ok))
+                for observe in hooks["observe"]:
+                    observe(s, t1, self.states)
 
     def _blow_up(self, t, bad):
         """BlowUpError naming the first offending block and its paths."""
@@ -632,7 +575,6 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, eps, twin=None):
     kernel.set_compensator(cy, model.fast_measure, _fast_jump_fn(model))
     if twin is not None:
         kernel.set_compensator(ct, model.slow_measure, _slow_jump_fn(model, "xt"))
-        kernel.track_sup("x", "xt")
 
 
 def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0, second_y0=None):
@@ -674,37 +616,120 @@ def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
 
 
 # ---------------------------------------------------------------------------
+# Side channels of a run, as observers
+# ---------------------------------------------------------------------------
+
+
+class _Checkpoints:
+    """Copies of the components' states at the ends of chosen steps."""
+
+    def __init__(self, steps: dict[int, float], names):
+        self.steps = steps
+        self.names = names
+        self.snapshots: dict[float, dict[str, np.ndarray]] = {}
+
+    def observe(self, step, t, states):
+        if step in self.steps:
+            self.snapshots[self.steps[step]] = {n: states[n].copy()
+                                                for n in self.names}
+
+
+class _PairSup:
+    """Per-path sup of |a - b| over the jump-augmented grid: after every
+    advance, and after each jump channel that moves a or b has moved both."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def start(self, states):
+        self.value = _norm(states[self.a] - states[self.b])
+
+    def on_advance(self, rows, end, states):
+        a, b = states[self.a], states[self.b]
+        if rows is None:
+            np.maximum(self.value, _norm(a - b), out=self.value)
+        else:
+            self.value[rows] = np.maximum(self.value[rows], _norm(a[rows] - b[rows]))
+
+    def on_jump(self, rows, channel, marks, times, pre, states):
+        if any(t in (self.a, self.b) for t, _ in channel.targets):
+            self.on_advance(rows, times, states)
+
+
+class _PathRecorder:
+    """Path 0 on the jump-augmented grid, after every advance and jump at
+    the kernel's own end and event times; one JumpEvent per jump target."""
+
+    def __init__(self, names):
+        self.names = names
+        self.events = []
+
+    def start(self, states):
+        self.times = [0.0]
+        self.rows = [[states[n][0].copy() for n in self.names]]
+
+    def on_advance(self, rows, end, states):
+        t = end if isinstance(end, float) else float(end[0])
+        row = [states[n][0].copy() for n in self.names]
+        if t > self.times[-1]:
+            self.times.append(t)
+            self.rows.append(row)
+        else:       # a jump, or an empty advance, at the last time
+            self.rows[-1] = row
+
+    def on_jump(self, rows, channel, marks, times, pre, states):
+        for target, _ in channel.targets:
+            self.events.append(JumpEvent(
+                time=float(times[0]), mark=float(marks[0]), channel=channel.name,
+                target=target, pre=pre[target][0].copy(),
+                post=states[target][0].copy(),
+                context={n: v[0].copy() for n, v in pre.items() if n != target}))
+        self.on_advance(rows, times, states)
+
+    def sample(self, slow, fast) -> PathSample:
+        """The path of components `slow` and `fast` (None: absent) and its events."""
+        series = {n: np.array(v) for n, v in zip(self.names, zip(*self.rows))}
+        return PathSample(
+            times=np.asarray(self.times), slow=series.get(slow),
+            fast=series.get(fast),
+            events=[e for e in self.events if e.target in (slow, fast)],
+        ).validate()
+
+
+# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
 
 def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
-           frozen=False, watchers=(), checkpoints=(), record=False):
+           sup=None, frozen=False, watchers=(), checkpoints=(), record=False):
     """Build, run and read out one kernel; every batch entry point ends here.
 
     `outputs` maps result keys to the components whose terminal states
-    they hold. With `record`, `paths` maps result keys to the (slow, fast)
-    component names of a recorded PathSample, carrying the events that
-    hit those components.
+    they hold. `sup` names the two components whose per-path sup distance
+    `out["sup"]` holds. With `record`, `paths` maps result keys to the
+    (slow, fast) component names of a recorded PathSample, carrying the
+    events that hit those components.
     """
     if frozen and not 0 < delta <= _MAX_FAST_SUBSTEP * (1 + 1e-12):
         raise ConfigurationError("frozen dynamics require 0 < delta <= 1/16")
+    if record and n_paths != 1:
+        raise ConfigurationError("path recording requires a single path")
     kernel = _Kernel(n_paths=n_paths, t_end=t_end, delta=delta, scheme=scheme,
                      stream=stream)
     build(kernel)
-    snaps = kernel.run(watchers=watchers, checkpoints=checkpoints, record=record)
+    names = [c.name for c in kernel.components]
+    snaps = _Checkpoints(
+        _checkpoint_steps(checkpoints, delta, t_end, kernel.n_steps), names)
+    tracker = _PairSup(*sup) if sup is not None else None
+    recorder = _PathRecorder(names) if record else None
+    kernel.run([w for w in (*watchers, snaps, tracker, recorder) if w is not None])
     out = {key: kernel.states[name].copy() for key, name in outputs.items()}
-    out["checkpoints"] = snaps
-    if kernel.running_sup is not None:
-        out["sup"] = kernel.running_sup.copy()
-    if record:
-        rec = kernel.recorder
-        times = np.asarray(rec.times)
-        for key, (slow, fast) in paths.items():
-            out[key] = PathSample(
-                times=times, slow=rec.series(slow), fast=rec.series(fast),
-                events=[e for e in rec.events if e.target in (slow, fast)],
-            ).validate()
+    out["checkpoints"] = snaps.snapshots
+    if tracker is not None:
+        out["sup"] = tracker.value
+    if recorder is not None:
+        out.update((key, recorder.sample(*comps)) for key, comps in paths.items())
     return out
 
 
@@ -734,7 +759,7 @@ def run_pair_batch(model: ModelSpec, avg, x0, y0, cfg: StepperConfig,
                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
                  outputs={"terminal_system": "x", "terminal_averaged": "xt"},
                  paths={"path_system": ("x", "y"), "path_averaged": ("xt", None)},
-                 checkpoints=checkpoints, record=record)
+                 sup=("x", "xt"), checkpoints=checkpoints, record=record)
     out["clamped"] = int(getattr(avg, "clamp_count", 0))
     return out
 

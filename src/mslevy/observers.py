@@ -1,9 +1,16 @@
-"""Per-step observers attached to kernel runs.
+"""Observers: the one protocol behind every side channel of a kernel run.
 
-Observers receive (step_index, t, states) after every micro step and
-accumulate summaries, so estimators never need whole trajectories in
-memory. An observer may define start(states) to capture the t = 0 state
-before stepping begins. Observers must not mutate the state arrays.
+All four methods are optional and must not mutate the state arrays.
+`start(states)` sees the t = 0 states; `observe(step, t, states)` runs
+after every micro step, so estimators keep summaries, not trajectories.
+Two read-only hooks run on the jump-augmented grid:
+`on_advance(rows, end, states)` after every advance of `rows` (None: all
+rows) to their end times `end` (one float when they all end a full
+step), and `on_jump(rows, channel, marks, times, pre, states)` after a
+jump channel has applied all of its targets, with `pre` the rows'
+pre-jump states. The observers here are `watchers=` of the batch entry
+points; `checkpoints=`, the coupled pair's `sup` and `record=` are
+private observers that `integrate._drive` adds.
 """
 
 from __future__ import annotations
@@ -130,11 +137,7 @@ class PathwiseSup:
         self.value = _norm(states[self.name]).copy()
 
     def observe(self, step, t, states):
-        cur = _norm(states[self.name])
-        if self.value is None:
-            self.value = cur.copy()
-        else:
-            np.maximum(self.value, cur, out=self.value)
+        np.maximum(self.value, _norm(states[self.name]), out=self.value)
 
 
 class PairDistanceCurve:

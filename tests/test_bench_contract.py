@@ -82,7 +82,7 @@ def test_patched_names_are_looked_up_at_call_time():
     for fn in (ergodic.build_averaged_table, ergodic.estimate_invariant_measure):
         assert "_invariant_samples" in fn.__code__.co_names
     assert "run_frozen_batch" in ergodic.poisson_cells.__code__.co_names
-    assert "poisson_cells" in cli.semigroup_identity_check.__code__.co_names
+    assert "poisson_cells" in ergodic.semigroup_identity_check.__code__.co_names
     for fn in (estimate.strong_error, estimate.weak_error):
         assert {"_integrate", "run_pair_batch"} <= set(fn.__code__.co_names)
 

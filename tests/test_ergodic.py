@@ -23,7 +23,6 @@ from mslevy.ergodic import (
     load_averaged_table,
     poisson_cell,
     poisson_cells,
-    psd_sqrt,
     save_averaged_table,
 )
 from mslevy.model import ModelSpec, example_2_7, example_2_8, scalar_model
@@ -57,10 +56,11 @@ class TestInvariantMeasure:
         inv = invariant(jump_ou(a))
         mean, mci = inv.mean_ci(inv.samples)
         assert abs(mean[0] - a) < 3 * mci[0]
-        var = inv.moment(2) - inv.moment(1) ** 2
+        y = inv.samples[:, 0]
+        var = float(np.mean(y ** 2)) - float(np.mean(y ** 1)) ** 2
         assert abs(var - JUMP_OU_VAR) < 0.05 * JUMP_OU_VAR
         assert inv.ess > 100
-        assert np.isfinite(inv.moment(8))
+        assert np.isfinite(np.mean(y ** 8))
 
     def test_initial_condition_independence(self):
         m = example_2_7("state_linear")
@@ -141,20 +141,24 @@ class TestAveragedDiffusion:
         inv = invariant(m, x=0.5, horizon=30.0, chains=16, stream_id=8)
         ad = averaged_diffusion(m, 0.5, inv)
         assert ad.matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert ad.root[0, 0] == pytest.approx(1.0, abs=1e-14)
+        root, _ = ergodic._psd_root_batch(ad.matrix[None], np.array([[0.5]]))
+        assert root[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
         assert ad.clip == 0.0
 
-    def test_psd_sqrt_diagonal(self):
-        root, clip = psd_sqrt(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
+    def test_psd_root_diagonal(self):
+        root, clip = ergodic._psd_root_batch(np.diag([4.0, 9.0])[None], np.zeros((1, 2)))
+        np.testing.assert_allclose(root[0], np.diag([2.0, 3.0]), atol=1e-12)
         assert clip == 0.0
 
-    def test_psd_sqrt_clips_roundoff(self):
-        root, clip = psd_sqrt(np.array([[1.0, 0.0], [0.0, -1e-12]]))
+    def test_psd_root_clips_roundoff(self):
+        root, clip = ergodic._psd_root_batch(
+            np.array([[[1.0, 0.0], [0.0, -1e-12]]]), np.zeros((1, 2)))
         assert clip == pytest.approx(1e-12, rel=1e-3)
-        assert root[1, 1] == 0.0
+        assert root[0, 1, 1] == 0.0
+
+    def test_psd_root_rejects_negative(self):
         with pytest.raises(ConfigurationError):
-            psd_sqrt(np.array([[-1.0]]))
+            ergodic._psd_root_batch(np.array([[[-1.0]]]), np.zeros((1, 1)))
 
     def test_sine_sigma_against_quadrature_oracle(self):
         # diffusion-only fast dynamics has the explicit stationary density
@@ -529,7 +533,7 @@ class TestInvariantMomentUniformity:
             inv = estimate_invariant_measure(
                 m, float(x), burn_in=5.0, horizon=60.0, n_chains=32,
                 delta=2**-8, thin=8, stream=RngStream(160, i))
-            vals.append(inv.moment(4))
+            vals.append(float(np.mean(inv.samples[:, 0] ** 4)))
         vals = np.asarray(vals)
         assert np.all(np.isfinite(vals))
         assert vals.max() / vals.min() < 2.5

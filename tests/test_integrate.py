@@ -13,7 +13,7 @@ from mslevy.integrate import (
     run_system_batch,
 )
 from mslevy.model import example_2_7, scalar_model
-from mslevy.observers import ThinCollector
+from mslevy.observers import MeanCurve, ThinCollector
 from mslevy.rng import JumpMeasureSpec, PointMass, RngStream, Uniform
 
 
@@ -464,3 +464,49 @@ class TestStreamBlocks:
             with pytest.raises(ConfigurationError, match="block"):
                 run_frozen_batch(m, 0.0, 0.0, horizon=0.5, delta=2**-4,
                                  n_chains=5, stream=blocks)
+
+
+class TestObservers:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           steps=st.sets(st.integers(1, 31), max_size=4), pair=st.booleans())
+    def test_observers_never_change_a_draw(self, seed, sizes, steps, pair):
+        # slow and fast jumps, the fast ones about once per path and step
+        m = scalar_model(
+            "observed", b=lambda x, y: -x + y, sigma=0.5,
+            f=lambda x, y: -y - y * y * y, g=1.0,
+            h1=lambda x, z: z * (1.0 + 0.1 * x),
+            nu1=JumpMeasureSpec(8.0, Uniform(-0.5, 0.7)),
+            nu2=JumpMeasureSpec(16.0, Uniform(0.1, 0.6)),
+            sigma_y_independent=True)
+        avg = ExactAveraged(lambda x: -x)
+        cfg = StepperConfig(epsilon=2**-3, delta=2**-7, t_end=0.25)
+        checkpoints = sorted(k * cfg.delta for k in steps) + [cfg.t_end]
+        keys = (("terminal_system", "terminal_averaged", "sup") if pair
+                else ("terminal_slow", "terminal_fast"))
+
+        def run(n, stream, observed, record=False):
+            kw = dict(checkpoints=checkpoints, record=record) if observed else {}
+            if pair:
+                return run_pair_batch(m, avg, 0.5, -0.3, cfg, n, stream, **kw)
+            if observed:
+                kw["watchers"] = (MeanCurve(lambda states: states["x"] * states["y"]),)
+            return run_system_batch(m, 0.5, -0.3, cfg, n, stream, **kw)
+
+        blocks = [(RngStream(seed).child(f"block:{i}"), n) for i, n in enumerate(sizes)]
+        for n, stream, record in ((sum(sizes), blocks, False),
+                                  (1, RngStream(seed), True)):
+            seen = run(n, stream, True, record)
+            plain = run(n, stream, False)
+            for key in keys:
+                np.testing.assert_array_equal(seen[key], plain[key])
+            final = seen["checkpoints"][cfg.t_end]
+            np.testing.assert_array_equal(final["x"], seen[keys[0]])
+            if pair:
+                np.testing.assert_array_equal(final["xt"], seen[keys[1]])
+            else:
+                np.testing.assert_array_equal(final["y"], seen[keys[1]])
+        paths = ("path_system", "path_averaged") if pair else ("path",)
+        for key, name in zip(paths, keys):
+            np.testing.assert_array_equal(seen[key].slow[-1], seen[name][0])
