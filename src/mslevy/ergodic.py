@@ -27,9 +27,10 @@ import numpy as np
 from scipy import stats
 
 from .errors import BlowUpError, ConfigurationError, DecayFitError, TableValidationError
+from .estimate import _line_fit
 from .integrate import run_frozen_batch, run_frozen_pair_batch
 from .model import ModelSpec
-from .observers import MeanCurve, PairDistanceCurve, ThinCollector
+from .observers import MeanCurve, ThinCollector
 from .rng import RngStream
 
 __all__ = [
@@ -220,13 +221,18 @@ def _invariant_samples(model, xs, cfg: InvariantConfig, streams, *, where):
                 watchers=(collector,))
         except BlowUpError as exc:
             i = first + exc.block
-            x = starts[i].tolist()
-            x = x[0] if len(x) == 1 else x
-            raise BlowUpError(exc.time, exc.paths,
-                              where=f"{where.format(i=i)} (x={x!r})") from exc
+            raise _relabel(exc, where.format(i=i), "x", starts[i]) from exc
         for j, i in enumerate(members):
             yield _invariant_sample(
                 xs[i], collector.stacked(slice(j * chains, (j + 1) * chains)))
+
+
+def _relabel(exc: BlowUpError, label: str, name: str, start) -> BlowUpError:
+    """`exc` from a blocked frozen run, named `label (name=start)` after
+    the start row of the block that blew up (a scalar when 1-d)."""
+    v = start.tolist()
+    v = v[0] if len(v) == 1 else v
+    return BlowUpError(exc.time, exc.paths, where=f"{label} ({name}={v!r})")
 
 
 def _invariant_sample(x, stacked: np.ndarray) -> InvariantSample:
@@ -598,10 +604,8 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
                          horizon=t_cut, delta=delta, n_chains=k * n_traj,
                          stream=[(s, n_traj) for s in streams], watchers=(curve,))
     except BlowUpError as exc:
-        y = starts[exc.block].tolist()
-        y = y[0] if len(y) == 1 else y
-        raise BlowUpError(exc.time, exc.paths,
-                          where=f"poisson cell {exc.block} (y={y!r})") from exc
+        raise _relabel(exc, f"poisson cell {exc.block}", "y",
+                       starts[exc.block]) from exc
     per_path = curve.integral.reshape(k, n_traj, -1)
     return [_cell(curve, j, per_path[j], avg_b, avg_b_ci, t_cut)
             for j in range(k)]
@@ -638,7 +642,7 @@ def _cell(curve, j, per_path, avg_b, avg_b_ci, t_cut) -> PoissonCell:
     rate = np.nan
     tail = float(3 * np.median(point_se))
     if usable.sum() >= 4:
-        slope, intercept = np.polyfit(times[usable], np.log(gap_norm[usable]), 1)
+        slope, intercept, _ = _line_fit(times[usable], np.log(gap_norm[usable]))
         if -slope > 1e-6:
             rate = -slope
             tail = float(np.exp(intercept + slope * t_cut) / rate)
@@ -712,7 +716,13 @@ def ergodicity_decay(model: ModelSpec, x, y1, y2, *, times, n_pairs: int,
                      delta: float, stream: RngStream) -> DecayCurve:
     """Mean squared distance of synchronously coupled frozen pairs
     (same Wiener path, same jump events and marks, same slow state),
-    with a log-linear decay fit."""
+    with a log-linear decay fit.
+
+    The curve keeps the micro step s = round(t/delta) - 1 that ends
+    nearest each requested time t, once per step and in step order; a
+    time under half a step (s < 0) is dropped. ci_half is 1.96 cross-pair
+    standard errors of each kept point.
+    """
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= 0:
         raise ConfigurationError("decay times must be positive")
@@ -722,23 +732,25 @@ def ergodicity_decay(model: ModelSpec, x, y1, y2, *, times, n_pairs: int,
         z = np.zeros_like(times)
         return DecayCurve(times=times, msd=z, gamma_hat=None, r2=None,
                           degenerate=True, ci_half=z.copy())
-    record_steps = [int(round(t / delta)) - 1 for t in times]
-    watcher = PairDistanceCurve("y", "y2", record_steps)
+
+    def sq_dist(states):
+        d = states["y"] - states["y2"]
+        return (d * d).sum(axis=1)[:, None]
+
+    curve = MeanCurve(sq_dist)
     run_frozen_pair_batch(model, x, y1, y2, horizon=float(times[-1]),
                           delta=delta, n_pairs=n_pairs, stream=stream,
-                          watchers=(watcher,))
-    t_obs, msd = watcher.curve()
-    ci = 1.96 * np.asarray(watcher.se)
-    t_fit, m_fit, ci_fit = t_obs[1:], msd[1:], ci[1:]
+                          watchers=(curve,))
+    t_obs, msd = curve.curve()
+    # curve point s + 1 is the end of micro step s
+    kept = [s + 1 for s in sorted({int(round(t / delta)) - 1 for t in times})
+            if 0 <= s < len(t_obs) - 1]
+    t_fit, m_fit = t_obs[kept], msd[kept, 0]
+    ci_fit = 1.96 * curve.point_se()[kept]
     pos = m_fit > 0
     if pos.sum() < 3:
         return DecayCurve(times=t_fit, msd=m_fit, gamma_hat=None, r2=None,
                           degenerate=True, ci_half=ci_fit)
-    logm = np.log(m_fit[pos])
-    slope, intercept = np.polyfit(t_fit[pos], logm, 1)
-    fitted = intercept + slope * t_fit[pos]
-    ss_res = float(np.sum((logm - fitted) ** 2))
-    ss_tot = float(np.sum((logm - logm.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DecayCurve(times=t_fit, msd=m_fit, gamma_hat=float(-slope), r2=r2,
+    slope, _, r2 = _line_fit(t_fit[pos], np.log(m_fit[pos]))
+    return DecayCurve(times=t_fit, msd=m_fit, gamma_hat=-slope, r2=r2,
                       ci_half=ci_fit)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
 from .model import ModelSpec
-from .rng import JumpMeasureSpec, RngStream, sample_jump_times_batch
+from .rng import JumpMeasureSpec, RngStream, _mark_affine, sample_jump_times_batch
 
 __all__ = [
     "StepperConfig",
@@ -174,7 +174,7 @@ class _Component:
     dim: int
     drift: object
     diffusion: object
-    wiener: str | None
+    wiener: str
     time_scale: float
     compensator: object = None
 
@@ -231,7 +231,7 @@ class _Kernel:
         self.states[name] = _init_state(init, dim, self.n_paths)
         comp = _Component(name, dim, drift, diffusion, wiener, float(time_scale))
         self.components.append(comp)
-        if wiener is not None and wiener not in self.wiener:
+        if wiener not in self.wiener:
             gens = [s.child(f"wiener:{wiener}").generator() for s, _ in self.blocks]
             self.wiener[wiener] = (int(wiener_dim), gens)
         return comp
@@ -305,23 +305,19 @@ class _Kernel:
         for comp in self.components:
             s = sub[comp.name]
             dte = dt * comp.time_scale
-            if comp.drift is not None:
-                d = np.asarray(comp.drift(sub))
-                if self.scheme == "tamed_euler":
-                    fac = dte / (1.0 + dte * _norm(d))
-                    inc = d * fac[:, None]
-                elif self.scheme == "split_step_implicit":
-                    inc = _implicit_increment(comp, sub, s, dte)
-                else:
-                    inc = d * dte[:, None]
+            d = np.asarray(comp.drift(sub))
+            if self.scheme == "tamed_euler":
+                fac = dte / (1.0 + dte * _norm(d))
+                inc = d * fac[:, None]
+            elif self.scheme == "split_step_implicit":
+                inc = _implicit_increment(comp, sub, s, dte)
             else:
-                inc = np.zeros_like(s)
+                inc = d * dte[:, None]
             if comp.compensator is not None:
                 inc = inc - comp.compensator(sub) * dte[:, None]
-            if comp.diffusion is not None:
-                g = np.asarray(comp.diffusion(sub))
-                dw = draws[comp.wiener] * np.sqrt(dte)[:, None]
-                inc = inc + _matvec(g, dw)
+            g = np.asarray(comp.diffusion(sub))
+            dw = draws[comp.wiener] * np.sqrt(dte)[:, None]
+            inc = inc + _matvec(g, dw)
             out[comp.name] = s + inc
         if idx is None:
             for n, v in out.items():
@@ -494,18 +490,14 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
         c1 = np.asarray(jump_fn(sub, np.ones(k)), dtype=float) - c0
         return lam * (c0 + m1 * c1)
 
-    is_affine = True
     vals = []
     for sub in probe_subs:
         k = len(next(iter(sub.values())))
-        c0 = np.asarray(jump_fn(sub, np.zeros(k)), dtype=float)
-        c1 = np.asarray(jump_fn(sub, np.ones(k)), dtype=float) - c0
-        probe = np.asarray(jump_fn(sub, np.full(k, 0.37)), dtype=float)
-        if not np.allclose(probe, c0 + 0.37 * c1, rtol=1e-9, atol=1e-12):
-            is_affine = False
+        coefs = _mark_affine(lambda z: np.asarray(jump_fn(sub, z), dtype=float), k)
+        if coefs is None:
             break
-        vals.append(lam * (c0 + m1 * c1))
-    if is_affine:
+        vals.append(lam * (coefs[0] + m1 * coefs[1]))
+    else:
         if all(np.all(v == 0.0) for v in vals):
             return None, None
         flat = [np.unique(v, axis=0) for v in vals]
@@ -519,7 +511,7 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
             return ("constant", tuple(const_row.tolist())), constant
         return "affine", affine_value
 
-    nodes, weights = measure.size.quadrature(64)
+    nodes, weights = measure.size.quadrature()
 
     def quadrature(sub):
         k = len(next(iter(sub.values())))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .expressions import compile_expression
-from .rng import JumpMeasureSpec, RngStream, default_jump_measure
+from .rng import JumpMeasureSpec, RngStream, _mark_affine, default_jump_measure
 
 __all__ = [
     "AssumptionParams",
@@ -512,7 +512,7 @@ def check_fast_dissipativity(model: ModelSpec, probes: int, box,
                             declared, passed, witness, details)
 
 
-def _fast_jump_increment_sq(model, x, y1, y2, n_nodes=64):
+def _fast_jump_increment_sq(model, x, y1, y2):
     """Integral of |h2(x,y1,z)-h2(x,y2,z)|^2 against the fast jump measure.
 
     Uses the mark moments when h2 is affine in the mark, quadrature on the
@@ -520,24 +520,21 @@ def _fast_jump_increment_sq(model, x, y1, y2, n_nodes=64):
     """
     measure = model.fast_measure
     P = x.shape[0]
-    z0 = np.zeros(P)
-    z1 = np.ones(P)
-    c0 = model.fast_jump(x, y1, z0) - model.fast_jump(x, y2, z0)
-    c1 = (model.fast_jump(x, y1, z1) - model.fast_jump(x, y2, z1)) - c0
-    # affine probe at an off-grid mark
-    zt = np.full(P, 0.37)
-    probe = model.fast_jump(x, y1, zt) - model.fast_jump(x, y2, zt)
-    affine = np.allclose(probe, c0 + 0.37 * c1, rtol=1e-9, atol=1e-12)
-    if affine:
+
+    def diff(z):
+        return model.fast_jump(x, y1, z) - model.fast_jump(x, y2, z)
+
+    coefs = _mark_affine(diff, P)
+    if coefs is not None:
+        c0, c1 = coefs
         m1, m2 = measure.m1, measure.m2
         val = (np.sum(c0 * c0, axis=1) + 2 * m1 * np.sum(c0 * c1, axis=1)
                + m2 * np.sum(c1 * c1, axis=1))
         return measure.intensity * val
-    nodes, weights = measure.size.quadrature(n_nodes)
+    nodes, weights = measure.size.quadrature()
     acc = np.zeros(P)
     for z, w in zip(nodes, weights):
-        zz = np.full(P, z)
-        d = model.fast_jump(x, y1, zz) - model.fast_jump(x, y2, zz)
+        d = diff(np.full(P, z))
         acc += w * np.sum(d * d, axis=1)
     return measure.intensity * acc
 
@@ -594,6 +591,8 @@ def check_growth(model: ModelSpec, probes: int, box, stream: RngStream) -> Assum
     coordinate; the statistic is max ||d(drift)|| / (1 + |x|^k + |y|^k).
     Report-only: passes whenever the ratios are finite.
     """
+    if probes < 1:
+        raise ConfigurationError("probes must be >= 1")
     sx, sy = _boxes(model, box)
     k = model.params.growth_exp if model.params else 2.0
     gen = stream.child("growth").generator()

@@ -19,13 +19,7 @@ import numpy as np
 
 from .integrate import _norm
 
-__all__ = [
-    "ThinCollector",
-    "MeanCurve",
-    "MarginalMomentMax",
-    "PathwiseSup",
-    "PairDistanceCurve",
-]
+__all__ = ["ThinCollector", "MeanCurve", "PathwiseSup"]
 
 
 class ThinCollector:
@@ -103,29 +97,6 @@ class MeanCurve:
         return np.asarray(self.spreads)[:, block] / np.sqrt(n)
 
 
-class MarginalMomentMax:
-    """Running max over the grid of the cross-path mean of |state|^p,
-    remembering the standard error at the maximizing time."""
-
-    def __init__(self, name: str, p: float):
-        self.name = name
-        self.p = float(p)
-        self.value = -np.inf
-        self.se = 0.0
-
-    def _stat(self, states):
-        v = _norm(states[self.name]) ** self.p
-        return float(v.mean()), float(v.std() / np.sqrt(v.size))
-
-    def start(self, states):
-        self.value, self.se = self._stat(states)
-
-    def observe(self, step, t, states):
-        m, s = self._stat(states)
-        if m > self.value:
-            self.value, self.se = m, s
-
-
 class PathwiseSup:
     """Running per-path sup of |state| over the grid."""
 
@@ -138,37 +109,3 @@ class PathwiseSup:
 
     def observe(self, step, t, states):
         np.maximum(self.value, _norm(states[self.name]), out=self.value)
-
-
-class PairDistanceCurve:
-    """Mean squared distance between two components at selected steps,
-    with the cross-pair standard error of each point."""
-
-    def __init__(self, name_a: str, name_b: str, record_steps):
-        self.name_a = name_a
-        self.name_b = name_b
-        self.record_steps = set(int(s) for s in record_steps)
-        self.times: list[float] = []
-        self.msd: list[float] = []
-        self.se: list[float] = []
-
-    def _dist(self, states):
-        d = states[self.name_a] - states[self.name_b]
-        sq = (d * d).sum(axis=1)
-        return float(sq.mean()), float(sq.std() / np.sqrt(sq.size))
-
-    def start(self, states):
-        m, s = self._dist(states)
-        self.times = [0.0]
-        self.msd = [m]
-        self.se = [s]
-
-    def observe(self, step, t, states):
-        if step in self.record_steps:
-            m, s = self._dist(states)
-            self.times.append(float(t))
-            self.msd.append(m)
-            self.se.append(s)
-
-    def curve(self):
-        return np.asarray(self.times), np.asarray(self.msd)

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# Gauss-Legendre nodes of a bounded size family's quadrature rule
+_QUAD_NODES = 64
 
 
 def _tag(purpose: str) -> int:
@@ -85,13 +87,10 @@ class PointMass:
     def moments(self) -> tuple[float, float]:
         return float(self.value), float(self.value) ** 2
 
-    def support(self) -> tuple[float, float]:
-        return float(self.value), float(self.value)
-
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, float(self.value))
 
-    def quadrature(self, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([float(self.value)]), np.array([1.0])
 
 
@@ -110,14 +109,11 @@ class Uniform:
         lo, hi = float(self.lo), float(self.hi)
         return 0.5 * (lo + hi), (lo * lo + lo * hi + hi * hi) / 3.0
 
-    def support(self) -> tuple[float, float]:
-        return float(self.lo), float(self.hi)
-
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return gen.uniform(self.lo, self.hi, size)
 
-    def quadrature(self, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
         half = 0.5 * (self.hi - self.lo)
         mid = 0.5 * (self.hi + self.lo)
         # weights of leggauss sum to 2; the density is 1/(hi-lo).
@@ -151,17 +147,14 @@ class TruncatedGaussian:
         var = self.sd**2 * (1.0 + (a * fa - b * fb) / z - ((fa - fb) / z) ** 2)
         return float(mean), float(var + mean * mean)
 
-    def support(self) -> tuple[float, float]:
-        return -float(self.bound), float(self.bound)
-
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         a, b, _, _, _ = self._pieces()
         u = gen.uniform(0.0, 1.0, size)
         p = ndtr(a) + u * (ndtr(b) - ndtr(a))
         return self.mu + self.sd * ndtri(p)
 
-    def quadrature(self, n: int = 64) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
         half = float(self.bound)
         x = half * nodes
         _, _, _, _, z = self._pieces()
@@ -228,6 +221,18 @@ class JumpMeasureSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "JumpMeasureSpec":
         return cls(intensity=d["intensity"], size=size_family_from_dict(d["size"]))
+
+
+def _mark_affine(g, k: int):
+    """(c0, c1) with g(z) = c0 + z * c1 when the map g of k marks is affine
+    in the mark, from its values at z = 0 and 1 and a check at z = 0.37
+    (rtol 1e-9, atol 1e-12); None when it is not."""
+    c0 = g(np.zeros(k))
+    c1 = g(np.ones(k)) - c0
+    probe = g(np.full(k, 0.37))
+    if not np.allclose(probe, c0 + 0.37 * c1, rtol=1e-9, atol=1e-12):
+        return None
+    return c0, c1
 
 
 def default_jump_measure() -> JumpMeasureSpec:

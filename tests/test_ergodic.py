@@ -456,7 +456,48 @@ class TestPoissonCells:
                          avg_b=0.7, stream=RngStream(122))
 
 
+class _PlainMeans:
+    """Cross-path mean and standard error of fn(states) (one value per
+    path) at t = 0 and after every micro step, in plain NumPy."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.times, self.means, self.ses = [], [], []
+
+    def start(self, states):
+        self.observe(-1, 0.0, states)
+
+    def observe(self, step, t, states):
+        v = self.fn(states)
+        self.times.append(float(t))
+        self.means.append(float(v.mean()))
+        self.ses.append(float(v.std() / np.sqrt(v.size)))
+
+
 class TestErgodicityDecay:
+    def test_points_are_the_plain_means_at_the_requested_steps(self, monkeypatch):
+        def sq_dist(st):
+            d = st["y"] - st["y2"]
+            return (d * d).sum(axis=1)
+
+        plain = _PlainMeans(sq_dist)
+        run = ergodic.run_frozen_pair_batch
+
+        def spy(*args, watchers=(), **kw):
+            return run(*args, watchers=(*watchers, plain), **kw)
+
+        monkeypatch.setattr(ergodic, "run_frozen_pair_batch", spy)
+        # at delta 2^-6: 0.001 is under half a step, 0.1 and 0.1001 end on
+        # step 5, and the rest on steps 31, 15 and 63 (unsorted)
+        dec = ergodicity_decay(example_2_7(), 0.0, 1.0, -1.0,
+                               times=[0.001, 0.1, 0.1001, 0.5, 0.25, 1.0],
+                               n_pairs=128, delta=2**-6, stream=RngStream(116))
+        kept = [6, 16, 32, 64]      # curve point s + 1 ends step s
+        assert len(plain.times) == 65
+        assert dec.times.tolist() == [plain.times[i] for i in kept]
+        assert dec.msd.tolist() == [plain.means[i] for i in kept]
+        assert dec.ci_half.tolist() == [1.96 * plain.ses[i] for i in kept]
+
     def test_linear_contraction_rate(self):
         m = scalar_model("ou", b=0.0, sigma=1.0, f=lambda x, y: -y, g=1.0)
         dec = ergodicity_decay(m, 0.0, 2.0, -2.0,

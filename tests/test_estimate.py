@@ -12,7 +12,7 @@ from mslevy.estimate import (
     make_test_function,
     weak_error,
 )
-from mslevy.model import scalar_model
+from mslevy.model import example_2_7, scalar_model
 from mslevy.rng import RngStream
 
 
@@ -197,7 +197,45 @@ class TestTestFunctions:
             make_test_function("sinh")
 
 
+class _PlainMeans:
+    """Cross-path mean and standard error of fn(states) (one value per
+    path) at t = 0 and after every micro step, in plain NumPy."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.means, self.ses = [], []
+
+    def start(self, states):
+        self.observe(-1, 0.0, states)
+
+    def observe(self, step, t, states):
+        v = self.fn(states)
+        self.means.append(float(v.mean()))
+        self.ses.append(float(v.std() / np.sqrt(v.size)))
+
+
 class TestFastMoments:
+    def test_marginal_sup_is_the_first_max_of_the_plain_mean(self, monkeypatch):
+        p = 4.0
+        plains = []
+        run = mslevy.integrate.run_system_batch
+
+        def spy(*args, watchers=(), **kw):
+            plains.append(_PlainMeans(lambda st: np.abs(st["y"][:, 0]) ** p))
+            return run(*args, watchers=(*watchers, plains[-1]), **kw)
+
+        monkeypatch.setattr(mslevy.integrate, "run_system_batch", spy)
+        rep = fast_moment_sweep(example_2_7("state_linear"),
+                                eps=[2**-2, 2**-3, 2**-4], p=p, t_end=0.25,
+                                n_paths=64, x0=0.5, y0=0.0,
+                                stream=RngStream(407))
+        assert len(plains) == 3
+        for j, plain in enumerate(plains):
+            k = int(np.argmax(plain.means))
+            assert 0 < k < len(plain.means) - 1
+            assert rep.marginal_sup[j] == plain.means[k]
+            assert rep.marginal_ci[j] == 1.96 * plain.ses[k]
+
     def test_zero_fast_dynamics(self):
         m = scalar_model("quiet", b=0.0, sigma=1.0,
                          h1=lambda x, z: np.zeros_like(z),

@@ -168,6 +168,13 @@ def test_growth_report_finite():
     assert np.isfinite(rep.observed)
 
 
+@pytest.mark.parametrize("check", [check_monotonicity, check_fast_dissipativity,
+                                   check_strong_monotonicity_fast, check_growth])
+def test_zero_probes_rejected(check):
+    with pytest.raises(ConfigurationError, match="probes must be >= 1"):
+        check(example_2_7(), 0, 4.0, RngStream(12))
+
+
 def test_checker_determinism():
     for _ in range(2):
         reports = [

@@ -154,14 +154,14 @@ def test_compensator_truncated_gaussian_quadrature_oracle():
 
     oracle, _ = integrate.quad(lambda z: z * density(z), -1.0, 1.0)
     assert spec.intensity * spec.m1 == pytest.approx(oracle, abs=1e-10)
-    nodes, weights = fam.quadrature(64)
+    nodes, weights = fam.quadrature()
     assert weights @ nodes == pytest.approx(oracle, abs=1e-10)
 
 
 def test_quadrature_matches_moments():
     for fam in (PointMass(0.3), Uniform(-0.5, 0.5), TruncatedGaussian(0.1, 0.2, 1.0)):
         spec = JumpMeasureSpec(intensity=3.0, size=fam)
-        nodes, weights = spec.size.quadrature(64)
+        nodes, weights = spec.size.quadrature()
         assert weights.sum() == pytest.approx(1.0, rel=1e-12)
         assert weights @ nodes == pytest.approx(spec.m1, abs=1e-12)
         assert weights @ (nodes * nodes) == pytest.approx(spec.m2, rel=1e-10)
