@@ -28,7 +28,7 @@ from scipy import stats
 
 from .errors import BlowUpError, ConfigurationError, DecayFitError, TableValidationError
 from .estimate import _line_fit
-from .integrate import run_frozen_batch, run_frozen_pair_batch
+from .integrate import _n_steps, run_frozen_batch, run_frozen_pair_batch
 from .model import ModelSpec
 from .observers import MeanCurve, ThinCollector
 from .rng import RngStream
@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _EXTRAPOLATIONS = ("clamp", "error")
+# a table axis is uniform when every node lies within this fraction of a
+# spacing of its place on the evenly spaced grid between its end nodes
+_UNIFORM_TOL = 1e-3
 # Limits of one fused table run: at most _GROUP_PATHS frozen chains, and
 # at most _GROUP_FLOATS retained sample floats (32 MiB), or one node if a
 # node alone holds more. A frozen step's cost per path falls from about
@@ -339,8 +342,11 @@ class AveragedTable:
 
     Piecewise-linear interpolation between nodes; queries outside the box
     follow the extrapolation policy ("clamp" returns the boundary value
-    and counts the event, "error" raises). Stored diffusion nodes are
-    symmetric PSD, so linear interpolation stays PSD.
+    and counts the event, "error" raises). After each lookup, `outside`
+    is the mask of its clamped queries, or None when there were none.
+    Stored diffusion nodes are symmetric PSD, so linear interpolation
+    stays PSD. The axis must be a uniform grid (as built, and as reloaded
+    from 17 digits), so a lookup finds its segment by a floor index.
     """
 
     axes: tuple
@@ -359,33 +365,50 @@ class AveragedTable:
             raise ConfigurationError(f"extrapolation must be one of {_EXTRAPOLATIONS}")
         if len(self.axes) != 1:
             raise ConfigurationError("averaged tables are built on 1-d slow grids")
+        g = self.axes[0]
+        n = len(g)
+        if n < 2 or not np.all(np.diff(g) > 0):
+            raise ConfigurationError("a table axis needs at least 2 increasing nodes")
+        self._scale = (n - 1) / (g[-1] - g[0])
+        if np.max(np.abs((g - g[0]) * self._scale - np.arange(n))) > _UNIFORM_TOL:
+            raise ConfigurationError("a table axis must be a uniform grid")
+        # segment widths and value steps, as g[i + 1] - g[i] per lookup
+        self._gap = np.diff(g)
+        self._drift_step = np.diff(self.drift_values, axis=0)
+        self._diff2_step = np.diff(self.diff2_values, axis=0)
+        self.outside = None
 
     def _locate(self, x: np.ndarray):
         g = self.axes[0]
         q = np.asarray(x, dtype=float)[:, 0]
         outside = (q < g[0]) | (q > g[-1])
+        self.outside = None
         if outside.any():
             if self.extrapolation == "error":
                 raise ConfigurationError(
                     f"query {q[outside][0]!r} outside table box [{g[0]}, {g[-1]}]"
                 )
             self.clamp_count += int(outside.sum())
+            self.outside = outside
             q = np.clip(q, g[0], g[-1])
-        idx = np.clip(np.searchsorted(g, q, side="right") - 1, 0, len(g) - 2)
-        w = (q - g[idx]) / (g[idx + 1] - g[idx])
+        # the floor of the node position is at most one node off on a
+        # uniform grid; the fix-ups give clip(searchsorted(g, q, "right")
+        # - 1, 0, n - 2) exactly (fmax/fmin map a NaN query to node 0)
+        top = len(g) - 2
+        idx = np.fmin(np.fmax((q - g[0]) * self._scale, 0.0), top).astype(np.intp)
+        idx -= q < g[idx]
+        idx += q >= g[idx + 1]
+        np.minimum(idx, top, out=idx)
+        w = (q - g[idx]) / self._gap[idx]
         return idx, w
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         idx, w = self._locate(x)
-        lo = self.drift_values[idx]
-        hi = self.drift_values[idx + 1]
-        return lo + w[:, None] * (hi - lo)
+        return self.drift_values[idx] + w[:, None] * self._drift_step[idx]
 
     def diff2(self, x: np.ndarray) -> np.ndarray:
         idx, w = self._locate(x)
-        lo = self.diff2_values[idx]
-        hi = self.diff2_values[idx + 1]
-        return lo + w[:, None, None] * (hi - lo)
+        return self.diff2_values[idx] + w[:, None, None] * self._diff2_step[idx]
 
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
         return _psd_root_batch(self.diff2(x), x)[0]
@@ -719,18 +742,22 @@ def ergodicity_decay(model: ModelSpec, x, y1, y2, *, times, n_pairs: int,
     with a log-linear decay fit.
 
     The curve keeps the micro step s = round(t/delta) - 1 that ends
-    nearest each requested time t, once per step and in step order; a
-    time under half a step (s < 0) is dropped. ci_half is 1.96 cross-pair
-    standard errors of each kept point.
+    nearest each requested time t, once per step and in step order, at
+    that step's end time; a time under half a step (s < 0) is dropped.
+    ci_half is 1.96 cross-pair standard errors of each kept point.
     """
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= 0:
         raise ConfigurationError("decay times must be positive")
+    horizon = float(times[-1])
+    kept = [s for s in sorted({int(round(t / delta)) - 1 for t in times})
+            if 0 <= s < _n_steps(horizon, delta)]
+    t_kept = np.array([min(horizon, (s + 1) * delta) for s in kept])
     y1a = np.atleast_1d(np.asarray(y1, dtype=float))
     y2a = np.atleast_1d(np.asarray(y2, dtype=float))
     if np.array_equal(y1a, y2a):
-        z = np.zeros_like(times)
-        return DecayCurve(times=times, msd=z, gamma_hat=None, r2=None,
+        z = np.zeros_like(t_kept)
+        return DecayCurve(times=t_kept, msd=z, gamma_hat=None, r2=None,
                           degenerate=True, ci_half=z.copy())
 
     def sq_dist(states):
@@ -738,15 +765,13 @@ def ergodicity_decay(model: ModelSpec, x, y1, y2, *, times, n_pairs: int,
         return (d * d).sum(axis=1)[:, None]
 
     curve = MeanCurve(sq_dist)
-    run_frozen_pair_batch(model, x, y1, y2, horizon=float(times[-1]),
+    run_frozen_pair_batch(model, x, y1, y2, horizon=horizon,
                           delta=delta, n_pairs=n_pairs, stream=stream,
                           watchers=(curve,))
-    t_obs, msd = curve.curve()
-    # curve point s + 1 is the end of micro step s
-    kept = [s + 1 for s in sorted({int(round(t / delta)) - 1 for t in times})
-            if 0 <= s < len(t_obs) - 1]
-    t_fit, m_fit = t_obs[kept], msd[kept, 0]
-    ci_fit = 1.96 * curve.point_se()[kept]
+    # curve point s + 1 is the end of micro step s, at t_kept
+    points = [s + 1 for s in kept]
+    t_fit, m_fit = t_kept, curve.curve()[1][points, 0]
+    ci_fit = 1.96 * curve.point_se()[points]
     pos = m_fit > 0
     if pos.sum() < 3:
         return DecayCurve(times=t_fit, msd=m_fit, gamma_hat=None, r2=None,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import integrate as _integrate
-from .errors import ConfigurationError
+from .errors import BlowUpError, ConfigurationError
 from .integrate import _norm
 from .model import ModelSpec
 from .observers import MeanCurve, PathwiseSup
@@ -215,6 +215,42 @@ def _prepare_eps(eps) -> np.ndarray:
     return eps
 
 
+def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
+                t_end, n_paths, x0, y0, checkpoints=()):
+    """Coupled pairs at every eps level, level j on stream f"{tag}:{j}".
+
+    The levels are the multi-rate stream blocks of one run_pair_batch (one
+    per group, when steps are not power-of-two multiples of each other),
+    so each sees the draws, and so the numbers, of its own run. Returns
+    each level's (sup, checkpoint snapshots), and the running table-clamp
+    count after each level as if the levels ran one after another. A
+    blow-up on any path aborts the whole sweep, naming its level.
+    """
+    cfgs = [_integrate.StepperConfig(epsilon=e, delta=policy.delta_for(e, eps[-1]),
+                                     t_end=t_end) for e in eps]
+    levels = [None] * len(eps)
+    clamps = np.zeros(len(eps), dtype=np.int64)
+    before = int(getattr(avg, "clamp_count", 0))
+    for group in _integrate._rate_groups(cfgs):
+        blocks = [(stream.child(f"{tag}:{j}"), n_paths, cfgs[j]) for j in group]
+        try:
+            out = _integrate.run_pair_batch(model, avg, x0, y0, cfgs[group[0]],
+                                            n_paths * len(group), blocks,
+                                            checkpoints=checkpoints)
+        except BlowUpError as exc:
+            j = group[exc.block]
+            raise BlowUpError(exc.time, exc.paths,
+                              where=f"{tag} level {j} (eps={float(eps[j])!r})") from exc
+        for b, j in enumerate(group):
+            # copies, so each level's reductions see arrays of its own run
+            rows = slice(b * n_paths, (b + 1) * n_paths)
+            levels[j] = (out["sup"][rows].copy(),
+                         {t: {n: v[rows].copy() for n, v in snap.items()}
+                          for t, snap in out["checkpoints"].items()})
+            clamps[j] = out["clamped"][b]
+    return levels, (before + np.cumsum(clamps)).tolist()
+
+
 def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
                  n_paths: int, x0, y0, delta_policy: DeltaPolicy | None = None,
                  n_boot: int = 1000, confidence: float = 0.95,
@@ -223,7 +259,8 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
     coupled pairs, bootstrap CIs, and the fitted log-log order.
 
     The expected slope is 1/2 regardless of p because of the p-th-root
-    normalization. Any blown-up path aborts the whole eps batch.
+    normalization. All eps levels run as one kernel (see `_pair_sweep`),
+    so one blown-up path aborts the whole sweep.
     """
     if not model.sigma_y_independent:
         raise ConfigurationError("strong sweeps require sigma independent of the fast state")
@@ -231,14 +268,10 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
         raise ConfigurationError("strong error moment p must be >= 2")
     eps = _prepare_eps(eps)
     policy = delta_policy or DeltaPolicy()
-    errors, halves, counts, clamps = [], [], [], []
-    for j, e in enumerate(eps):
-        delta = policy.delta_for(e, eps[-1])
-        cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end)
-        out = _integrate.run_pair_batch(model, avg, x0, y0, cfg, n_paths,
-                                        stream.child(f"strong:{j}"))
-        sup = out["sup"]
-        clamps.append(out["clamped"])
+    levels, clamps = _pair_sweep(model, avg, eps, policy, "strong", stream,
+                                 t_end=t_end, n_paths=n_paths, x0=x0, y0=y0)
+    errors, halves, counts = [], [], []
+    for j, (sup, _) in enumerate(levels):
         sup_p = sup**p
         err = float(np.mean(sup_p) ** (1.0 / p))
         if np.all(sup == 0.0):
@@ -282,8 +315,10 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
 
     coupled_difference drives both equations with the same noise (valid
     when sigma ignores the fast state, where the two averaged equations
-    coincide); independent simulates separate ensembles, with the
-    averaged one using the PSD root of the averaged squared diffusion.
+    coincide), all eps levels as one kernel (see `_pair_sweep`), so one
+    blown-up path aborts the whole sweep; independent simulates separate
+    ensembles per eps, with the averaged one using the PSD root of the
+    averaged squared diffusion.
     """
     if mode not in ("coupled_difference", "independent"):
         raise ConfigurationError("mode must be coupled_difference or independent")
@@ -297,15 +332,14 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
     policy = delta_policy or DeltaPolicy()
     cps = tuple(f * t_end for f in _CHECKPOINT_FRACS)
     errors, halves, counts, clamps = [], [], [], []
+    if mode == "coupled_difference":
+        levels, clamps = _pair_sweep(model, avg, eps, policy, "weak", stream,
+                                     t_end=t_end, n_paths=n_paths, x0=x0, y0=y0,
+                                     checkpoints=cps)
     for j, e in enumerate(eps):
-        delta = policy.delta_for(e, eps[-1])
-        cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end)
         if mode == "coupled_difference":
-            out = _integrate.run_pair_batch(model, avg, x0, y0, cfg, n_paths,
-                                            stream.child(f"weak:{j}"),
-                                            checkpoints=cps)
-            diffs = np.stack([phi(out["checkpoints"][t]["x"])
-                              - phi(out["checkpoints"][t]["xt"]) for t in cps])
+            snaps = levels[j][1]
+            diffs = np.stack([phi(snaps[t]["x"]) - phi(snaps[t]["xt"]) for t in cps])
             err = float(np.max(np.abs(diffs.mean(axis=1))))
             if np.all(diffs == 0.0):
                 errors.append(0.0)
@@ -317,8 +351,9 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
                     n_boot, confidence, stream.child(f"boot:{j}"))
                 errors.append(err)
                 halves.append(0.5 * (hi - lo))
-            clamps.append(out["clamped"])
         else:
+            delta = policy.delta_for(e, eps[-1])
+            cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end)
             sys_out = _integrate.run_system_batch(
                 model, x0, y0, cfg, n_paths, stream.child(f"weak-sys:{j}"),
                 checkpoints=cps)

@@ -25,6 +25,20 @@ narrow runs (e.g. the nodes of an averaged table) fuse into one wide run
 without changing an output byte. A blow-up names the block and the path
 within it.
 
+Multi-rate blocks: a block `(RngStream, n_paths, cfg)` also carries its
+own StepperConfig. Its epsilon sets its fast time scale 1/eps and fast
+jump rate intensity/eps, and its step must be a power-of-two multiple
+m_b of the run's step, on the run's horizon and scheme, with the blocks
+in order of their steps (`_rate_groups` sorts a set of configs into such
+runs). The kernel walks the run's (finest) grid and at each step
+advances only the blocks whose own step ends there, always a prefix of
+the rows. Each block places its events on its own grid and computes its
+step times as its own run would (s * delta_b is exact when m_b is a
+power of two, and a per-row dt * (1/eps) is the scalar product), so the
+order sweep's eps levels run as one kernel with the numbers of one
+kernel per level. Such runs take no watchers and record no path; their
+checkpoints must lie on every block's grid.
+
 Scheme: between jump events, drift increments are tamed,
 ``drift * dt / (1 + dt * |drift|)``, which keeps explicit stepping stable
 under superlinear monotone drifts; diffusion increments use the actual
@@ -175,7 +189,7 @@ class _Component:
     drift: object
     diffusion: object
     wiener: str
-    time_scale: float
+    time_scale: object      # a float, or one value per row (multi-rate)
     compensator: object = None
 
 
@@ -183,20 +197,57 @@ class _Component:
 class _Channel:
     name: str
     measure: JumpMeasureSpec
-    rate: float
+    rates: list      # one per block
     targets: list    # (component name, jump_fn)
 
 
-def _stream_blocks(stream, n_paths: int) -> list[tuple[RngStream, int]]:
-    """`stream` as (RngStream, n_paths) blocks that cover the batch."""
+def _n_steps(t_end: float, delta: float) -> int:
+    """Micro steps of a run to t_end at step delta; the last may be short."""
+    return max(1, int(np.ceil(t_end / delta - 1e-9)))
+
+
+def _steps_per(cfg: StepperConfig, delta: float, t_end: float, scheme: str):
+    """The number m of delta-steps in one step of `cfg`, when cfg's grid
+    runs inside a run at step delta: the same horizon and scheme, a step
+    that is exactly a power-of-two multiple m of delta, and each own step
+    ending on a distinct step of the run (the last on the run's last);
+    else None."""
+    m = cfg.delta / delta
+    if (cfg.t_end != t_end or cfg.scheme != scheme or m < 1 or m != int(m)
+            or int(m) & (int(m) - 1) or cfg.delta != int(m) * delta):
+        return None
+    m, n, n_own = int(m), _n_steps(t_end, delta), _n_steps(t_end, cfg.delta)
+    return m if (n_own - 1) * m < n <= n_own * m else None
+
+
+def _rate_groups(cfgs) -> list[list[int]]:
+    """Indices of `cfgs` in groups that each run as one multi-rate kernel,
+    every group in order of step (ties in the given order) and led by
+    its finest config; a config whose step no group's finest step
+    divides by a power of two starts a group of its own."""
+    groups: list[list[int]] = []
+    for i in sorted(range(len(cfgs)), key=lambda i: cfgs[i].delta):
+        for group in groups:
+            lead = cfgs[group[0]]
+            if _steps_per(cfgs[i], lead.delta, lead.t_end, lead.scheme):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+def _stream_blocks(stream, n_paths: int) -> list[tuple]:
+    """`stream` as (RngStream, n_paths, cfg or None) blocks that cover the
+    batch; cfg is a multi-rate block's own StepperConfig."""
     if isinstance(stream, RngStream):
-        return [(stream, n_paths)]
-    blocks = [(s, int(n)) for s, n in stream]
-    if not blocks or any(n < 1 for _, n in blocks):
+        return [(stream, n_paths, None)]
+    blocks = [(b[0], int(b[1]), b[2] if len(b) > 2 else None) for b in stream]
+    if not blocks or any(n < 1 for _, n, _ in blocks):
         raise ConfigurationError("stream blocks must each hold at least one path")
-    if sum(n for _, n in blocks) != n_paths:
+    if sum(n for _, n, _ in blocks) != n_paths:
         raise ConfigurationError(
-            f"stream blocks hold {sum(n for _, n in blocks)} paths, not {n_paths}")
+            f"stream blocks hold {sum(n for _, n, _ in blocks)} paths, not {n_paths}")
     return blocks
 
 
@@ -211,9 +262,23 @@ class _Kernel:
         self.blocks = _stream_blocks(stream, self.n_paths)
         self.blocked = not isinstance(stream, RngStream)
         # row offsets of the blocks, closed by n_paths
-        self.bounds = np.cumsum([0] + [n for _, n in self.blocks])
+        self.bounds = np.cumsum([0] + [n for _, n, _ in self.blocks])
         self._rows = self.bounds    # block rows of the current advance
-        self.n_steps = max(1, int(np.ceil(self.t_end / self.delta - 1e-9)))
+        self.n_steps = _n_steps(self.t_end, self.delta)
+        # per block: its own config (None: the run's), its step and step
+        # count, and the run's steps per own step
+        self.configs = [cfg for _, _, cfg in self.blocks]
+        self.mult = [1 if cfg is None else
+                     _steps_per(cfg, self.delta, self.t_end, self.scheme)
+                     for cfg in self.configs]
+        if None in self.mult or self.mult[0] != 1 or self.mult != sorted(self.mult):
+            raise ConfigurationError(
+                "multi-rate blocks need steps that are power-of-two multiples of "
+                "the run's step, on its horizon and scheme, in order from the "
+                "run's step up")
+        self.own_delta = [self.delta * m for m in self.mult]
+        self.own_steps = [_n_steps(self.t_end, d) for d in self.own_delta]
+        self.multi = self.mult[-1] > 1
         self.components: list[_Component] = []
         self.channels: list[_Channel] = []
         self.states: dict[str, np.ndarray] = {}
@@ -226,19 +291,33 @@ class _Kernel:
     def add_constant(self, name, value, dim):
         self.states[name] = _init_state(value, dim, self.n_paths)
 
+    def per_block(self, values):
+        """One value per block: the common float when they agree, else an
+        array that repeats each block's value over its rows."""
+        values = [float(v) for v in values]
+        if len(set(values)) == 1:
+            return values[0]
+        return np.repeat(values, np.diff(self.bounds))
+
     def add_component(self, name, dim, init, *, drift, diffusion, wiener,
                       wiener_dim=0, time_scale=1.0):
+        """time_scale: a float, or per_block's value."""
         self.states[name] = _init_state(init, dim, self.n_paths)
-        comp = _Component(name, dim, drift, diffusion, wiener, float(time_scale))
+        if np.ndim(time_scale) == 0:
+            time_scale = float(time_scale)
+        comp = _Component(name, dim, drift, diffusion, wiener, time_scale)
         self.components.append(comp)
         if wiener not in self.wiener:
-            gens = [s.child(f"wiener:{wiener}").generator() for s, _ in self.blocks]
+            gens = [b[0].child(f"wiener:{wiener}").generator() for b in self.blocks]
             self.wiener[wiener] = (int(wiener_dim), gens)
         return comp
 
     def add_channel(self, name, measure: JumpMeasureSpec, rate, targets):
-        """targets: list of (component_name, jump_fn(sub, marks)->(k,dim))."""
-        self.channels.append(_Channel(name, measure, float(rate), list(targets)))
+        """rate: a float, or one per block; targets: list of
+        (component_name, jump_fn(sub, marks)->(k,dim))."""
+        rates = [rate] * len(self.blocks) if np.ndim(rate) == 0 else list(rate)
+        self.channels.append(_Channel(name, measure, [float(r) for r in rates],
+                                      list(targets)))
 
     def set_compensator(self, comp: _Component, measure: JumpMeasureSpec, jump_fn):
         # each block probes its own rows, as a separate run would
@@ -283,16 +362,22 @@ class _Kernel:
     # -- stepping ----------------------------------------------------------
 
     def _advance(self, idx, dt, end):
-        """Step rows idx (every row if None) by dt to their end time(s)."""
+        """Step rows idx (every row if None; a slice for a prefix of the
+        rows) by dt to their end time(s)."""
         states = self.states
         if idx is None:
             sub = states
             k = self.n_paths
+            rows = self.bounds
         else:
             sub = {n: a[idx] for n, a in states.items()}
-            k = len(idx)
-        # idx is ascending, so each block's rows are contiguous
-        rows = self.bounds if idx is None else np.searchsorted(idx, self.bounds)
+            if isinstance(idx, slice):
+                k = idx.stop
+                rows = np.minimum(self.bounds, k)
+            else:
+                # idx is ascending, so each block's rows are contiguous
+                k = len(idx)
+                rows = np.searchsorted(idx, self.bounds)
         self._rows = rows
         draws = {}
         for key, (dim, gens) in self.wiener.items():
@@ -304,7 +389,10 @@ class _Kernel:
         out = {}
         for comp in self.components:
             s = sub[comp.name]
-            dte = dt * comp.time_scale
+            scale = comp.time_scale
+            if idx is not None and type(scale) is not float:
+                scale = scale[idx]
+            dte = dt * scale
             d = np.asarray(comp.drift(sub))
             if self.scheme == "tamed_euler":
                 fac = dte / (1.0 + dte * _norm(d))
@@ -341,61 +429,112 @@ class _Kernel:
             for hook in self._on_jump:
                 hook(idx, chan, z, times[m], sub, self.states)
 
-    def _generate_events(self, n_steps):
-        paths, times, chans, marks = [], [], [], []
+    def _generate_events(self):
+        """Every jump event of the run, ordered by (step, path, time): the
+        offsets of each step's events, then per event its path (int32),
+        time, channel (int32) and mark. A block draws its events at its
+        own rate and places each on its own grid, on the step of the run
+        where that own step ends."""
+        pieces = []
         for ci, chan in enumerate(self.channels):
-            if chan.rate <= 0:
-                continue
-            for (stream, n), start in zip(self.blocks, self.bounds):
+            for b, ((stream, n, _), rate) in enumerate(zip(self.blocks, chan.rates)):
+                if rate <= 0:
+                    continue
                 p, t = sample_jump_times_batch(
-                    chan.rate, self.t_end, n, stream.child(f"events:{chan.name}"))
+                    rate, self.t_end, n, stream.child(f"events:{chan.name}"))
                 gen = stream.child(f"marks:{chan.name}").generator()
-                z = chan.measure.size.sample(gen, len(t))
-                paths.append(p + start)
-                times.append(t)
-                chans.append(np.full(len(t), ci, dtype=np.int64))
-                marks.append(z)
-        if not paths:
-            offsets = np.zeros(n_steps + 1, dtype=np.int64)
-            e = np.empty(0)
-            return offsets, e.astype(np.int64), e, e.astype(np.int64), e
-        p = np.concatenate(paths)
-        t = np.concatenate(times)
-        c = np.concatenate(chans)
-        z = np.concatenate(marks)
-        step = np.minimum((t / self.delta).astype(np.int64), n_steps - 1)
-        order = np.lexsort((t, p, step))
-        p, t, c, z, step = p[order], t[order], c[order], z[order], step[order]
-        offsets = np.searchsorted(step, np.arange(n_steps + 1))
-        return offsets, p, t, c, z
+                pieces.append((b, ci, p, t, chan.measure.size.sample(gen, len(t))))
+        # filled piece by piece, each dropped once copied: the schedule is
+        # the largest allocation of a wide run
+        total = sum(len(piece[3]) for piece in pieces)
+        step, path, chans = (np.empty(total, dtype=np.int32) for _ in range(3))
+        times, marks = np.empty(total), np.empty(total)
+        at = 0
+        while pieces:
+            b, ci, p, t, z = pieces.pop(0)
+            k = slice(at, at + len(t))
+            own = np.minimum((t / self.own_delta[b]).astype(np.int64),
+                             self.own_steps[b] - 1)
+            step[k] = np.minimum((own + 1) * self.mult[b], self.n_steps) - 1
+            path[k] = p + self.bounds[b]
+            chans[k] = ci
+            times[k] = t
+            marks[k] = z
+            at = k.stop
+            del p, t, z, own
+        order = np.lexsort((times, path, step))
+        spare = np.empty(total, dtype=np.int32)
+        for arr in (step, path, chans):
+            np.take(arr, order, out=spare, mode="clip")
+            arr[:] = spare
+        spare = np.empty(total)
+        for arr in (times, marks):
+            np.take(arr, order, out=spare, mode="clip")
+            arr[:] = spare
+        del order, spare
+        offsets = np.searchsorted(step, np.arange(self.n_steps + 1))
+        return offsets, path, times, chans, marks
+
+    def _clock(self):
+        """For a multi-rate run: step s of the run -> (rows, k, t0, t1),
+        the active rows (a slice of the first k, or None for all), and
+        their own step's start and end times, each block's computed on its
+        own grid as its own run would. The blocks are in order of their
+        steps, which are powers of two of the run's, so the blocks whose
+        step ends on a given step of the run are a prefix of them."""
+        P, T, last = self.n_paths, self.t_end, self.n_steps - 1
+        t0, t1 = np.empty(P), np.empty(P)
+        per_block = list(zip(self.bounds[:-1], self.bounds[1:], self.mult,
+                             self.own_delta, self.own_steps))
+
+        def at(s):
+            k = 0
+            for lo, hi, m, d, n in per_block:
+                if s == last:
+                    own = n - 1
+                elif (s + 1) % m:
+                    break
+                else:
+                    own = (s + 1) // m - 1
+                t0[lo:hi] = own * d
+                t1[lo:hi] = min(T, (own + 1) * d)
+                k = hi
+            return (None if k == P else slice(0, k)), k, t0[:k], t1[:k]
+
+        return at
 
     def run(self, observers=()):
         """Step every path to t_end, calling the observers' hooks (see the
         module docstring); the states are then the terminal states."""
         P, dl, T, n_steps = self.n_paths, self.delta, self.t_end, self.n_steps
-        offsets, ev_p, ev_t, ev_c, ev_z = self._generate_events(n_steps)
+        offsets, ev_p, ev_t, ev_c, ev_z = self._generate_events()
         hooks = {name: [getattr(w, name) for w in observers if hasattr(w, name)]
                  for name in ("start", "observe", "on_advance", "on_jump")}
         self._on_advance, self._on_jump = hooks["on_advance"], hooks["on_jump"]
         for start in hooks["start"]:
             start(self.states)
+        clock = self._clock() if self.multi else None
+        rows, k = None, P
 
         # a non-finite state is reported as BlowUpError below
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(n_steps):
-                t0 = s * dl
-                t1 = min(T, (s + 1) * dl)
+                t_run = min(T, (s + 1) * dl)
+                if clock is None:
+                    t0, t1 = s * dl, t_run
+                else:
+                    rows, k, t0, t1 = clock(s)
                 lo, hi = offsets[s], offsets[s + 1]
                 if lo == hi:
-                    self._advance(None, np.full(P, t1 - t0), t1)
+                    self._advance(rows, np.full(k, t1 - t0), t1)
                 else:
                     p, tt, cc, zz = ev_p[lo:hi], ev_t[lo:hi], ev_c[lo:hi], ev_z[lo:hi]
                     upaths, starts, counts = np.unique(p, return_index=True,
                                                        return_counts=True)
-                    bound = np.full(P, t1)
+                    bound = np.full(k, t1)
                     bound[upaths] = tt[starts]
-                    self._advance(None, bound - t0, bound)
-                    nxt = np.full(hi - lo, t1)
+                    self._advance(rows, bound - t0, bound)
+                    nxt = np.full(hi - lo, t1) if clock is None else t1[p]
                     same = p[1:] == p[:-1]
                     nxt[:-1][same] = tt[1:][same]
                     ranks = np.arange(hi - lo) - np.repeat(starts, counts)
@@ -406,19 +545,30 @@ class _Kernel:
                         self._advance(ps, ends - ts, ends)
                 for comp in self.components:
                     arr = self.states[comp.name]
+                    if rows is not None:
+                        arr = arr[:k]
                     ok = (np.isfinite(arr).all(axis=1)
                           & (np.abs(arr) < _STATE_CAP).all(axis=1))
                     if not ok.all():
                         raise self._blow_up(t1, np.flatnonzero(~ok))
                 for observe in hooks["observe"]:
-                    observe(s, t1, self.states)
+                    observe(s, t_run, self.states)
 
     def _blow_up(self, t, bad):
-        """BlowUpError naming the first offending block and its paths."""
+        """BlowUpError naming the first offending block, its paths and the
+        end of its step (t: one time, or one per active row)."""
         b = int(np.searchsorted(self.bounds, bad[0], side="right")) - 1
         lo, hi = self.bounds[b], self.bounds[b + 1]
-        return BlowUpError(t, (bad[bad < hi] - lo).tolist(),
+        return BlowUpError(t if np.ndim(t) == 0 else t[bad[0]],
+                           (bad[bad < hi] - lo).tolist(),
                            block=b if self.blocked else None)
+
+    def checkpoint_steps(self, checkpoints) -> dict[int, float]:
+        """`_checkpoint_steps` on the run's grid, after checking the
+        checkpoints against every block's own grid, coarsest first."""
+        for d, n in sorted(set(zip(self.own_delta, self.own_steps)), reverse=True):
+            _checkpoint_steps(checkpoints, d, self.t_end, n)
+        return _checkpoint_steps(checkpoints, self.delta, self.t_end, self.n_steps)
 
 
 def _checkpoint_steps(checkpoints, delta, t_end, n_steps) -> dict[int, float]:
@@ -537,6 +687,10 @@ def _fast_jump_fn(model, y_name="y"):
 
 
 def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, eps, twin=None):
+    """The coupled system at the run's eps, or at each multi-rate block's
+    own; with the averaged `twin`, the coupled pair, whose extra output
+    "clamped" counts each block's table clamps (see `_TwinClamps`)."""
+    eps = [eps if cfg is None else cfg.epsilon for cfg in kernel.configs]
     cx = kernel.add_component(
         "x", model.dim_slow, x0,
         drift=lambda sub: model.slow_drift(sub["x"], sub["y"]),
@@ -547,13 +701,15 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, eps, twin=None):
         "y", model.dim_fast, y0,
         drift=lambda sub: model.fast_drift(sub["x"], sub["y"]),
         diffusion=lambda sub: model.fast_diffusion(sub["x"], sub["y"]),
-        wiener="w2", wiener_dim=model.dw_fast, time_scale=1.0 / eps,
+        wiener="w2", wiener_dim=model.dw_fast,
+        time_scale=kernel.per_block([1.0 / e for e in eps]),
     )
     slow_targets = [("x", _slow_jump_fn(model, "x"))]
     if twin is not None:
+        clamps = _TwinClamps(twin, kernel)
         ct = kernel.add_component(
             "xt", model.dim_slow, x0,
-            drift=lambda sub: twin.drift(sub["xt"]),
+            drift=lambda sub: clamps.drift(sub["xt"]),
             diffusion=lambda sub: model.slow_diffusion(sub["xt"], sub["y"]),
             wiener="w1", wiener_dim=model.dw_slow, time_scale=1.0,
         )
@@ -561,12 +717,30 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, eps, twin=None):
     kernel.add_channel("slow", model.slow_measure, model.slow_measure.intensity,
                        slow_targets)
     kernel.add_channel("fast", model.fast_measure,
-                       model.fast_measure.intensity / eps,
+                       [model.fast_measure.intensity / e for e in eps],
                        [("y", _fast_jump_fn(model))])
     kernel.set_compensator(cx, model.slow_measure, _slow_jump_fn(model, "x"))
     kernel.set_compensator(cy, model.fast_measure, _fast_jump_fn(model))
     if twin is not None:
         kernel.set_compensator(ct, model.slow_measure, _slow_jump_fn(model, "xt"))
+        return {"clamped": clamps.counts}
+
+
+class _TwinClamps:
+    """The averaged twin's drift, counting per block the rows whose table
+    lookup fell outside the box (the mask a table leaves in `outside`)."""
+
+    def __init__(self, avg, kernel: _Kernel):
+        self.avg, self.kernel = avg, kernel
+        self.counts = np.zeros(len(kernel.blocks), dtype=np.int64)
+
+    def drift(self, x):
+        value = self.avg.drift(x)
+        outside = getattr(self.avg, "outside", None)
+        if outside is not None:
+            seen = np.concatenate(([0], np.cumsum(outside)))
+            self.counts += np.diff(seen[self.kernel._rows])
+        return value
 
 
 def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0, second_y0=None):
@@ -697,6 +871,7 @@ def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
            sup=None, frozen=False, watchers=(), checkpoints=(), record=False):
     """Build, run and read out one kernel; every batch entry point ends here.
 
+    `build(kernel)` may return extra outputs, read after the run.
     `outputs` maps result keys to the components whose terminal states
     they hold. `sup` names the two components whose per-path sup distance
     `out["sup"]` holds. With `record`, `paths` maps result keys to the
@@ -709,10 +884,11 @@ def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
         raise ConfigurationError("path recording requires a single path")
     kernel = _Kernel(n_paths=n_paths, t_end=t_end, delta=delta, scheme=scheme,
                      stream=stream)
-    build(kernel)
+    if kernel.multi and watchers:
+        raise ConfigurationError("watchers need blocks of one step")
+    extra = build(kernel) or {}
     names = [c.name for c in kernel.components]
-    snaps = _Checkpoints(
-        _checkpoint_steps(checkpoints, delta, t_end, kernel.n_steps), names)
+    snaps = _Checkpoints(kernel.checkpoint_steps(checkpoints), names)
     tracker = _PairSup(*sup) if sup is not None else None
     recorder = _PathRecorder(names) if record else None
     kernel.run([w for w in (*watchers, snaps, tracker, recorder) if w is not None])
@@ -722,6 +898,7 @@ def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
         out["sup"] = tracker.value
     if recorder is not None:
         out.update((key, recorder.sample(*comps)) for key, comps in paths.items())
+    out.update(extra)
     return out
 
 
@@ -742,18 +919,21 @@ def run_pair_batch(model: ModelSpec, avg, x0, y0, cfg: StepperConfig,
                    record: bool = False):
     """Coupled pairs (system, averaged) through identical W1 increments and
     identical slow jump events; the strong-error workhorse. `sup` is the
-    per-pair sup distance over the jump-augmented grid."""
+    per-pair sup distance over the jump-augmented grid, and `clamped` the
+    number of the averaged twin's table clamps in each stream block.
+
+    Multi-rate blocks `(RngStream, n, cfg_b)` (see the module docstring)
+    run several eps levels as one kernel; `cfg` is then the finest
+    level's config."""
     if not model.sigma_y_independent:
         raise ConfigurationError(
             "pathwise coupling requires a slow diffusion independent of the fast state"
         )
-    out = _drive(lambda k: _build_slow_fast(k, model, x0, y0, cfg.epsilon, twin=avg),
-                 n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
-                 outputs={"terminal_system": "x", "terminal_averaged": "xt"},
-                 paths={"path_system": ("x", "y"), "path_averaged": ("xt", None)},
-                 sup=("x", "xt"), checkpoints=checkpoints, record=record)
-    out["clamped"] = int(getattr(avg, "clamp_count", 0))
-    return out
+    return _drive(lambda k: _build_slow_fast(k, model, x0, y0, cfg.epsilon, twin=avg),
+                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+                  outputs={"terminal_system": "x", "terminal_averaged": "xt"},
+                  paths={"path_system": ("x", "y"), "path_averaged": ("xt", None)},
+                  sup=("x", "xt"), checkpoints=checkpoints, record=record)
 
 
 def run_frozen_batch(model: ModelSpec, x, y0, horizon: float, delta: float,

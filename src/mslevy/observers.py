@@ -5,8 +5,8 @@ All four methods are optional and must not mutate the state arrays.
 after every micro step, so estimators keep summaries, not trajectories.
 Two read-only hooks run on the jump-augmented grid:
 `on_advance(rows, end, states)` after every advance of `rows` (None: all
-rows) to their end times `end` (one float when they all end a full
-step), and `on_jump(rows, channel, marks, times, pre, states)` after a
+rows; a slice of the first rows in a multi-rate run) to their end times
+`end` (one float when they all end a full step of one grid), and `on_jump(rows, channel, marks, times, pre, states)` after a
 jump channel has applied all of its targets, with `pre` the rows'
 pre-jump states. The observers here are `watchers=` of the batch entry
 points; `checkpoints=`, the coupled pair's `sup` and `record=` are

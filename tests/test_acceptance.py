@@ -230,14 +230,15 @@ def test_09_harness_selftests(monkeypatch):
     assert fit_one.slope == pytest.approx(1.0, abs=1e-12)
     assert fit_one.r2 == pytest.approx(1.0, abs=1e-12)
 
+    # the sweep's eps levels arrive as multi-rate blocks (stream, n, cfg)
     def stub(model, avg, x0, y0, cfg, n_paths, stream, checkpoints=(),
              record=False):
-        sup = np.full(n_paths, np.sqrt(cfg.epsilon))
-        snaps = {t: {"x": np.full((n_paths, 1), cfg.epsilon),
-                     "xt": np.zeros((n_paths, 1))} for t in checkpoints}
-        return {"sup": sup, "terminal_system": np.zeros((n_paths, 1)),
+        level = np.concatenate([np.full(n, c.epsilon) for _, n, c in stream])
+        snaps = {t: {"x": level[:, None].copy(), "xt": np.zeros((n_paths, 1))}
+                 for t in checkpoints}
+        return {"sup": np.sqrt(level), "terminal_system": np.zeros((n_paths, 1)),
                 "terminal_averaged": np.zeros((n_paths, 1)),
-                "checkpoints": snaps, "clamped": 0}
+                "checkpoints": snaps, "clamped": np.zeros(len(stream), dtype=int)}
 
     monkeypatch.setattr(mslevy.integrate, "run_pair_batch", stub)
     model = scalar_model("xonly", b=lambda x, y: -x, sigma=lambda x, y: 0.5,

@@ -83,8 +83,11 @@ def test_patched_names_are_looked_up_at_call_time():
         assert "_invariant_samples" in fn.__code__.co_names
     assert "run_frozen_batch" in ergodic.poisson_cells.__code__.co_names
     assert "poisson_cells" in ergodic.semigroup_identity_check.__code__.co_names
+    # both order sweeps run their coupled pairs through one helper
     for fn in (estimate.strong_error, estimate.weak_error):
-        assert {"_integrate", "run_pair_batch"} <= set(fn.__code__.co_names)
+        assert "_pair_sweep" in fn.__code__.co_names
+    assert {"_integrate", "run_pair_batch"} <= set(
+        estimate._pair_sweep.__code__.co_names)
 
 
 def test_cli_builds_tables_through_the_patched_builder(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate as sciint
 
 from mslevy import ergodic
@@ -297,6 +299,40 @@ class TestAveragedTable:
         root = table.diffusion_root(q)
         assert np.all(root >= np.sqrt(2.0) - 1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-50.0, 50.0), span=st.floats(1e-3, 100.0),
+           nodes=st.integers(2, 400), reload=st.booleans())
+    def test_direct_index_equals_clipped_searchsorted(self, lo, span, nodes,
+                                                      reload):
+        grid = np.linspace(lo, lo + span, nodes)
+        if reload:      # the 17-digit CSV round trip of a cached table
+            text = "\n".join(format(v, ".17g") for v in grid)
+            grid = np.loadtxt(io.StringIO(text), ndmin=1)
+        table = AveragedTable(
+            axes=(grid,), drift_values=np.zeros((nodes, 1)),
+            drift_ci=np.zeros((nodes, 1)), diff2_values=np.ones((nodes, 1, 1)),
+            diff2_ci=np.zeros((nodes, 1, 1)))
+        q = np.concatenate([grid, np.nextafter(grid, -np.inf),
+                            np.nextafter(grid, np.inf),
+                            [lo - span, lo + 2 * span, -np.inf, np.inf]])
+        idx, w = table._locate(q[:, None])
+        qc = np.clip(q, grid[0], grid[-1])
+        want = np.clip(np.searchsorted(grid, qc, side="right") - 1, 0, nodes - 2)
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(
+            w, (qc - grid[want]) / (grid[want + 1] - grid[want]))
+        assert table.clamp_count == int(np.sum((q < grid[0]) | (q > grid[-1])))
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3, 1.0], [0.0, 1.0, 0.5],
+                                      [0.0], [0.0, 0.5, 1.0 + 1e-2]])
+    def test_non_uniform_axis_rejected(self, grid):
+        n = len(grid)
+        with pytest.raises(ConfigurationError, match="table axis"):
+            AveragedTable(axes=(np.asarray(grid),), drift_values=np.zeros((n, 1)),
+                          drift_ci=np.zeros((n, 1)),
+                          diff2_values=np.ones((n, 1, 1)),
+                          diff2_ci=np.zeros((n, 1, 1)))
+
     def test_exact_averaged_adapter(self):
         avg = ExactAveraged(lambda x: -x, lambda x: np.full((len(x), 1, 1), 4.0))
         x = np.array([[1.0], [2.0]])
@@ -512,6 +548,17 @@ class TestErgodicityDecay:
                                n_pairs=16, delta=2**-6, stream=RngStream(114))
         assert dec.degenerate
         assert np.all(dec.msd == 0.0)
+
+    def test_degenerate_starts_keep_the_kept_step_ends(self):
+        # identical and nearly identical starts report the same time points
+        m = scalar_model("ou", b=0.0, sigma=1.0, f=lambda x, y: -y, g=1.0)
+        times = [0.001, 0.1, 0.1001, 0.5, 0.25, 1.0]
+        same, near = (ergodicity_decay(m, 0.0, 1.0, y2, times=times, n_pairs=16,
+                                       delta=2**-6, stream=RngStream(114))
+                      for y2 in (1.0, 1.0 + 1e-9))
+        assert same.degenerate
+        assert same.times.tolist() == near.times.tolist() == [0.09375, 0.25, 0.5, 1.0]
+        assert same.msd.shape == same.ci_half.shape == (4,)
 
     def test_example_2_7_contracts_at_least_beta(self):
         dec = ergodicity_decay(example_2_7(), 0.0, 1.0, -1.0,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import mslevy.integrate
-from mslevy.errors import ConfigurationError
-from mslevy.ergodic import ExactAveraged
+from mslevy.errors import BlowUpError, ConfigurationError
+from mslevy.ergodic import AveragedTable, ExactAveraged
 from mslevy.estimate import (
     DeltaPolicy,
     fast_moment_sweep,
@@ -67,14 +67,15 @@ class TestDeltaPolicy:
 
 
 def _stub_pair(sup_fn):
+    # the sweep's eps levels arrive as multi-rate blocks (stream, n, cfg)
     def fake(model, avg, x0, y0, cfg, n_paths, stream, checkpoints=(),
              record=False):
-        sup = np.full(n_paths, sup_fn(cfg.epsilon))
-        snaps = {t: {"x": np.full((n_paths, 1), sup_fn(cfg.epsilon)),
-                     "xt": np.zeros((n_paths, 1))} for t in checkpoints}
+        sup = np.concatenate([np.full(n, sup_fn(c.epsilon)) for _, n, c in stream])
+        snaps = {t: {"x": sup[:, None].copy(), "xt": np.zeros((n_paths, 1))}
+                 for t in checkpoints}
         return {"sup": sup, "terminal_system": np.zeros((n_paths, 1)),
                 "terminal_averaged": np.zeros((n_paths, 1)),
-                "checkpoints": snaps, "clamped": 0}
+                "checkpoints": snaps, "clamped": np.zeros(len(stream), dtype=int)}
     return fake
 
 
@@ -187,6 +188,69 @@ class TestWeakError:
             weak_error(_fast_free_model(), ExactAveraged(lambda x: -x),
                        make_test_function("identity"), eps=[2**-2, 2**-4, 2**-6],
                        t_end=1.0, n_paths=4)
+
+
+def _clamping_table():
+    """-x on [-0.5, 0.5]: slow paths from x0 = 0.4 leave the box."""
+    grid = np.linspace(-0.5, 0.5, 5)
+    return AveragedTable(axes=(grid,), drift_values=-grid[:, None],
+                         drift_ci=np.zeros((5, 1)), diff2_values=np.ones((5, 1, 1)),
+                         diff2_ci=np.zeros((5, 1, 1)))
+
+
+class TestPairSweep:
+    """strong_error and coupled weak_error run every eps level as a
+    multi-rate block of one pair run."""
+
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    def test_clamp_counts_run_on_level_by_level(self, kind):
+        m = scalar_model("clamps", b=lambda x, y: -x + y, sigma=0.6,
+                         f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
+        eps = [2**-2, 2**-3, 2**-4]
+        policy = DeltaPolicy(mode="scaled", fast_exp=4)
+        kw = dict(eps=eps, t_end=0.5, n_paths=24, x0=0.4, y0=0.0, n_boot=20,
+                  delta_policy=policy, stream=RngStream(410))
+        table = _clamping_table()
+        table.drift(np.array([[2.0]]))      # one clamp before the sweep
+        if kind == "strong":
+            rep = strong_error(m, table, **kw)
+            cps = ()
+        else:
+            rep = weak_error(m, table, make_test_function("identity"), **kw)
+            cps = tuple(rep.meta["checkpoints"])
+        alone = _clamping_table()
+        alone.drift(np.array([[2.0]]))
+        running = []
+        for j, e in enumerate(eps):
+            cfg = mslevy.integrate.StepperConfig(
+                epsilon=e, delta=policy.delta_for(e, eps[-1]), t_end=0.5)
+            mslevy.integrate.run_pair_batch(m, alone, 0.4, 0.0, cfg, 24,
+                                            RngStream(410).child(f"{kind}:{j}"),
+                                            checkpoints=cps)
+            running.append(alone.clamp_count)
+        assert rep.meta["clamped"] == running
+        assert running[0] > 1 and running[1] > running[0]
+
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    def test_blow_up_aborts_the_sweep_and_names_its_level(self, kind):
+        # y climbs at rate 1/eps and the fast drift is infinite past 20,
+        # which only the two smallest eps reach before t_end
+        m = scalar_model("climb", b=0.0, sigma=0.0, g=0.0,
+                         f=lambda x, y: np.where(y > 20.0, np.inf, 1.0),
+                         sigma_y_independent=True)
+        kw = dict(eps=[2**-3, 2**-4, 2**-5, 2**-6, 2**-7], t_end=0.5,
+                  n_paths=4, x0=0.0, y0=0.0,
+                  delta_policy=DeltaPolicy(mode="scaled", fast_exp=4),
+                  stream=RngStream(411))
+        avg = ExactAveraged(lambda x: np.zeros_like(x))
+        with pytest.raises(BlowUpError,
+                           match=rf"{kind} level 4 \(eps=0\.0078125\)") as exc:
+            if kind == "strong":
+                strong_error(m, avg, **kw)
+            else:
+                weak_error(m, avg, make_test_function("identity"), **kw)
+        assert exc.value.paths and exc.value.block is None
+        assert 0.15 < exc.value.time < 0.2
 
 
 class TestTestFunctions:

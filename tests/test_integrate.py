@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslevy import integrate
-from mslevy.ergodic import ExactAveraged
+from mslevy.ergodic import AveragedTable, ExactAveraged
+from mslevy.estimate import DeltaPolicy
 from mslevy.errors import BlowUpError, ConfigurationError
 from mslevy.integrate import (
     StepperConfig,
@@ -275,6 +276,25 @@ class TestCheckpointsAndBlowup:
         assert 0 < exc.value.time <= 4.0
         assert len(exc.value.paths) >= 1
 
+    def test_blow_up_in_a_multi_rate_block_names_its_own_step_end(self):
+        # y climbs at rate 1/eps, and the fast drift is infinite past 20:
+        # only the eps = 2^-6 block gets there, at the end of one of its
+        # own steps, which is not a step end of the coarsest block
+        m = scalar_model("climb", b=0.0, sigma=0.0, g=0.0,
+                         f=lambda x, y: np.where(y > 20.0, np.inf, 1.0),
+                         sigma_y_independent=True)
+        avg = ExactAveraged(lambda x: np.zeros_like(x))
+        cfgs = [StepperConfig(epsilon=e, delta=e * 2**-4, t_end=0.5)
+                for e in (2**-6, 2**-5, 2**-3)]
+        blocks = [(RngStream(30, i), 3, c) for i, c in enumerate(cfgs)]
+        with pytest.raises(BlowUpError, match="of block 0") as fused:
+            run_pair_batch(m, avg, 0.0, 0.0, cfgs[0], 9, blocks)
+        with pytest.raises(BlowUpError) as alone:
+            run_pair_batch(m, avg, 0.0, 0.0, cfgs[0], 3, RngStream(30, 0))
+        assert (fused.value.time, fused.value.paths) == (alone.value.time,
+                                                         alone.value.paths)
+        assert fused.value.time % cfgs[-1].delta != 0
+
     def test_blow_up_in_a_block_names_the_block_and_its_path(self):
         # the fast drift is infinite only where the frozen slow state is 3
         m = scalar_model("wall", b=0.0, sigma=0.0, g=1.0,
@@ -456,6 +476,75 @@ class TestStreamBlocks:
         m1, m2 = 0.35, (0.6**3 - 0.1**3) / (3 * 0.5)
         np.testing.assert_allclose(left[:, 0], [4 * m1] * 4 + [4 * m2] * 4,
                                    rtol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 64),
+           mode=st.sampled_from(["global", "scaled"]), odd=st.booleans(),
+           t_end=st.sampled_from([0.375, 0.3]))
+    def test_multi_rate_run_equals_one_run_per_level(self, seed, width, mode,
+                                                     odd, t_end):
+        # slow and fast jumps whose maps are not affine in the mark (so
+        # quadrature compensators), a table twin that clamps, and, with
+        # `odd`, a level whose step is 3/4 of another's (its own group)
+        m = scalar_model(
+            "multi", b=lambda x, y: -x + y, sigma=0.5,
+            f=lambda x, y: -y - y * y * y, g=1.0,
+            h1=lambda x, z: z * z * (1.0 + 0.1 * x),
+            h2=lambda x, y, z: z * z * (0.3 + 0.1 * y * y),
+            nu1=JumpMeasureSpec(8.0, Uniform(-0.5, 0.7)),
+            nu2=JumpMeasureSpec(2.0, Uniform(0.1, 0.6)),
+            sigma_y_independent=True)
+        grid = np.linspace(-0.5, 1.5, 9)
+        table = AveragedTable(
+            axes=(grid,), drift_values=-grid[:, None], drift_ci=np.zeros((9, 1)),
+            diff2_values=np.ones((9, 1, 1)), diff2_ci=np.zeros((9, 1, 1)))
+        eps = [2**-2, 3 * 2**-5, 2**-3, 2**-4] if odd else [2**-2, 2**-3, 2**-4]
+        policy = DeltaPolicy(mode=mode, fast_exp=4)
+        cfgs = [StepperConfig(epsilon=e, delta=policy.delta_for(e, min(eps)),
+                              t_end=t_end) for e in eps]
+        cps = (0.1875, 0.375) if t_end == 0.375 else (0.3,)
+        streams = [RngStream(seed).child(f"level:{j}") for j in range(len(eps))]
+        groups = integrate._rate_groups(cfgs)
+        assert len(groups) == (2 if odd and mode == "scaled" else 1)
+        for group in groups:
+            out = run_pair_batch(m, table, 0.5, -0.3, cfgs[group[0]],
+                                 width * len(group),
+                                 [(streams[j], width, cfgs[j]) for j in group],
+                                 checkpoints=cps)
+            for b, j in enumerate(group):
+                ref = run_pair_batch(m, table, 0.5, -0.3, cfgs[j], width,
+                                     streams[j], checkpoints=cps)
+                rows = slice(b * width, (b + 1) * width)
+                for key in ("sup", "terminal_system", "terminal_averaged"):
+                    np.testing.assert_array_equal(out[key][rows], ref[key])
+                for t in cps:
+                    for name in ("x", "y", "xt"):
+                        np.testing.assert_array_equal(
+                            out["checkpoints"][t][name][rows],
+                            ref["checkpoints"][t][name])
+                assert out["clamped"][b] == ref["clamped"][0]
+
+    def test_multi_rate_blocks_must_nest(self):
+        m = _blocks_model()
+        fine = StepperConfig(epsilon=2**-2, delta=2**-6, t_end=0.5)
+        coarse = StepperConfig(epsilon=1.0, delta=2**-5, t_end=0.5)
+        for other in (StepperConfig(epsilon=1.0, delta=3 * 2**-6, t_end=0.5),
+                      StepperConfig(epsilon=1.0, delta=2**-5, t_end=0.25),
+                      StepperConfig(epsilon=1.0, delta=2**-5, t_end=0.5,
+                                    scheme="euler")):
+            with pytest.raises(ConfigurationError, match="multi-rate"):
+                run_system_batch(m, 0.0, 0.0, fine, 4,
+                                 [(RngStream(1), 2, fine), (RngStream(2), 2, other)])
+        with pytest.raises(ConfigurationError, match="multi-rate"):
+            run_system_batch(m, 0.0, 0.0, fine, 4,
+                             [(RngStream(2), 2, coarse), (RngStream(1), 2, fine)])
+        blocks = [(RngStream(1), 2, fine), (RngStream(2), 2, coarse)]
+        # a checkpoint on the fine grid only is off the coarse block's grid
+        with pytest.raises(ConfigurationError, match="off the delta=0.03125 grid"):
+            run_system_batch(m, 0.0, 0.0, fine, 4, blocks, checkpoints=(2**-6,))
+        with pytest.raises(ConfigurationError, match="watchers"):
+            run_system_batch(m, 0.0, 0.0, fine, 4, blocks,
+                             watchers=(ThinCollector("y", 0, 1),))
 
     def test_blocks_must_cover_the_batch(self):
         m = _blocks_model()
