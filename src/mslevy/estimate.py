@@ -215,6 +215,11 @@ def _prepare_eps(eps) -> np.ndarray:
     return eps
 
 
+def _check_confidence(confidence: float):
+    if not 0 < confidence < 1:
+        raise ConfigurationError(f"confidence must lie in (0, 1), not {confidence!r}")
+
+
 def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
                 t_end, n_paths, x0, y0, checkpoints=()):
     """Coupled pairs at every eps level, level j on stream f"{tag}:{j}".
@@ -267,6 +272,7 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
     if p < 2:
         raise ConfigurationError("strong error moment p must be >= 2")
     eps = _prepare_eps(eps)
+    _check_confidence(confidence)
     policy = delta_policy or DeltaPolicy()
     levels, clamps = _pair_sweep(model, avg, eps, policy, "strong", stream,
                                  t_end=t_end, n_paths=n_paths, x0=x0, y0=y0)
@@ -329,6 +335,7 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
     if mode == "independent" and not getattr(avg, "has_diffusion", False):
         raise ConfigurationError("independent mode needs averaged diffusion data")
     eps = _prepare_eps(eps)
+    _check_confidence(confidence)
     policy = delta_policy or DeltaPolicy()
     cps = tuple(f * t_end for f in _CHECKPOINT_FRACS)
     errors, halves, counts, clamps = [], [], [], []

@@ -9,6 +9,11 @@ all five build, run and read out the kernel through one driver. A single
 path is a batch of one: `record=True` (with `n_paths=1`) returns it as a
 PathSample under `out["path"]`.
 
+A run's time grid is its StepperConfig, and every stream block (below)
+carries one. The frozen equation is the system's fast half at a fixed
+slow state, on blocks at epsilon = 1, so its delta must be at most 1/16
+and its horizon positive. Each jump channel compensates its targets.
+
 Observers are a run's only side channel: `start` at t = 0, `observe`
 after every micro step, and the read-only hooks `on_advance` and
 `on_jump` on the jump-augmented grid (the protocol is in `observers`).
@@ -23,10 +28,10 @@ compensator's form from its own rows. Every path sees exactly the
 draws, and so the numbers, of a separate run of its block, so several
 narrow runs (e.g. the nodes of an averaged table) fuse into one wide run
 without changing an output byte. A blow-up names the block and the path
-within it.
+within it. Such a block carries the run's config.
 
-Multi-rate blocks: a block `(RngStream, n_paths, cfg)` also carries its
-own StepperConfig. Its epsilon sets its fast time scale 1/eps and fast
+Multi-rate blocks: a block `(RngStream, n_paths, cfg)` carries its own
+StepperConfig. Its epsilon sets its fast time scale 1/eps and fast
 jump rate intensity/eps, and its step must be a power-of-two multiple
 m_b of the run's step, on the run's horizon and scheme, with the blocks
 in order of their steps (`_rate_groups` sorts a set of configs into such
@@ -94,13 +99,13 @@ class StepperConfig:
         if not self.delta > 0:
             raise ConfigurationError("delta must be positive")
         if not self.t_end > 0:
-            raise ConfigurationError("t_end must be positive")
+            raise ConfigurationError(f"t_end must be positive, not {self.t_end!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigurationError(f"scheme must be one of {_SCHEMES}")
         if self.delta > self.epsilon * _MAX_FAST_SUBSTEP * (1 + 1e-12):
             raise ConfigurationError(
-                f"delta={self.delta!r} exceeds epsilon/16; the fast component "
-                "would be under-resolved"
+                f"delta={self.delta!r} exceeds epsilon/16 = {self.epsilon / 16!r}; "
+                "the fast component would be under-resolved"
             )
 
 
@@ -206,14 +211,15 @@ def _n_steps(t_end: float, delta: float) -> int:
     return max(1, int(np.ceil(t_end / delta - 1e-9)))
 
 
-def _steps_per(cfg: StepperConfig, delta: float, t_end: float, scheme: str):
-    """The number m of delta-steps in one step of `cfg`, when cfg's grid
-    runs inside a run at step delta: the same horizon and scheme, a step
-    that is exactly a power-of-two multiple m of delta, and each own step
+def _steps_per(cfg: StepperConfig, run_cfg: StepperConfig):
+    """The number m of run_cfg's steps in one step of `cfg`, when cfg's
+    grid runs inside run_cfg's: the same horizon and scheme, a step that
+    is exactly a power-of-two multiple m of the run's, and each own step
     ending on a distinct step of the run (the last on the run's last);
     else None."""
+    delta, t_end = run_cfg.delta, run_cfg.t_end
     m = cfg.delta / delta
-    if (cfg.t_end != t_end or cfg.scheme != scheme or m < 1 or m != int(m)
+    if (cfg.t_end != t_end or cfg.scheme != run_cfg.scheme or m < 1 or m != int(m)
             or int(m) & (int(m) - 1) or cfg.delta != int(m) * delta):
         return None
     m, n, n_own = int(m), _n_steps(t_end, delta), _n_steps(t_end, cfg.delta)
@@ -228,8 +234,7 @@ def _rate_groups(cfgs) -> list[list[int]]:
     groups: list[list[int]] = []
     for i in sorted(range(len(cfgs)), key=lambda i: cfgs[i].delta):
         for group in groups:
-            lead = cfgs[group[0]]
-            if _steps_per(cfgs[i], lead.delta, lead.t_end, lead.scheme):
+            if _steps_per(cfgs[i], cfgs[group[0]]):
                 group.append(i)
                 break
         else:
@@ -237,12 +242,12 @@ def _rate_groups(cfgs) -> list[list[int]]:
     return groups
 
 
-def _stream_blocks(stream, n_paths: int) -> list[tuple]:
-    """`stream` as (RngStream, n_paths, cfg or None) blocks that cover the
-    batch; cfg is a multi-rate block's own StepperConfig."""
+def _stream_blocks(stream, n_paths: int, cfg: StepperConfig) -> list[tuple]:
+    """`stream` as (RngStream, n_paths, cfg) blocks that cover the batch;
+    a block's cfg is its own multi-rate config, or else the run's."""
     if isinstance(stream, RngStream):
-        return [(stream, n_paths, None)]
-    blocks = [(b[0], int(b[1]), b[2] if len(b) > 2 else None) for b in stream]
+        return [(stream, n_paths, cfg)]
+    blocks = [(b[0], int(b[1]), b[2] if len(b) > 2 else cfg) for b in stream]
     if not blocks or any(n < 1 for _, n, _ in blocks):
         raise ConfigurationError("stream blocks must each hold at least one path")
     if sum(n for _, n, _ in blocks) != n_paths:
@@ -254,23 +259,20 @@ def _stream_blocks(stream, n_paths: int) -> list[tuple]:
 class _Kernel:
     """Vectorized jump-adapted stepping over a batch of paths."""
 
-    def __init__(self, *, n_paths, t_end, delta, scheme, stream):
+    def __init__(self, cfg: StepperConfig, n_paths, stream):
         self.n_paths = int(n_paths)
-        self.t_end = float(t_end)
-        self.delta = float(delta)
-        self.scheme = scheme
-        self.blocks = _stream_blocks(stream, self.n_paths)
+        self.t_end = float(cfg.t_end)
+        self.delta = float(cfg.delta)
+        self.scheme = cfg.scheme
+        self.blocks = _stream_blocks(stream, self.n_paths, cfg)
         self.blocked = not isinstance(stream, RngStream)
         # row offsets of the blocks, closed by n_paths
         self.bounds = np.cumsum([0] + [n for _, n, _ in self.blocks])
         self._rows = self.bounds    # block rows of the current advance
         self.n_steps = _n_steps(self.t_end, self.delta)
-        # per block: its own config (None: the run's), its step and step
-        # count, and the run's steps per own step
-        self.configs = [cfg for _, _, cfg in self.blocks]
-        self.mult = [1 if cfg is None else
-                     _steps_per(cfg, self.delta, self.t_end, self.scheme)
-                     for cfg in self.configs]
+        # per block: the run's steps per own step, its step and step count
+        self.configs = [b[2] for b in self.blocks]
+        self.mult = [_steps_per(c, cfg) for c in self.configs]
         if None in self.mult or self.mult[0] != 1 or self.mult != sorted(self.mult):
             raise ConfigurationError(
                 "multi-rate blocks need steps that are power-of-two multiples of "
@@ -288,9 +290,6 @@ class _Kernel:
 
     # -- construction -----------------------------------------------------
 
-    def add_constant(self, name, value, dim):
-        self.states[name] = _init_state(value, dim, self.n_paths)
-
     def per_block(self, values):
         """One value per block: the common float when they agree, else an
         array that repeats each block's value over its rows."""
@@ -305,25 +304,26 @@ class _Kernel:
         self.states[name] = _init_state(init, dim, self.n_paths)
         if np.ndim(time_scale) == 0:
             time_scale = float(time_scale)
-        comp = _Component(name, dim, drift, diffusion, wiener, time_scale)
-        self.components.append(comp)
+        self.components.append(_Component(name, dim, drift, diffusion, wiener,
+                                          time_scale))
         if wiener not in self.wiener:
             gens = [b[0].child(f"wiener:{wiener}").generator() for b in self.blocks]
             self.wiener[wiener] = (int(wiener_dim), gens)
-        return comp
 
     def add_channel(self, name, measure: JumpMeasureSpec, rate, targets):
         """rate: a float, or one per block; targets: list of
-        (component_name, jump_fn(sub, marks)->(k,dim))."""
+        (component_name, jump_fn(sub, marks)->(k,dim)). Every target gets
+        the channel's compensator, so add the channels after the
+        components: the compensator probes perturb every state."""
         rates = [rate] * len(self.blocks) if np.ndim(rate) == 0 else list(rate)
         self.channels.append(_Channel(name, measure, [float(r) for r in rates],
                                       list(targets)))
-
-    def set_compensator(self, comp: _Component, measure: JumpMeasureSpec, jump_fn):
-        # each block probes its own rows, as a separate run would
-        forms = [_build_compensator(jump_fn, measure, self._probe_subs(lo, hi))
-                 for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
-        comp.compensator = self._blockwise(forms, comp.dim)
+        comps = {c.name: c for c in self.components}
+        for target, jump_fn in targets:
+            # each block probes its own rows, as a separate run would
+            forms = [_build_compensator(jump_fn, measure, self._probe_subs(lo, hi))
+                     for lo, hi in zip(self.bounds[:-1], self.bounds[1:])]
+            comps[target].compensator = self._blockwise(forms, comps[target].dim)
 
     def _probe_subs(self, lo, hi):
         """Two perturbed copies of every starting state of rows lo:hi."""
@@ -678,51 +678,54 @@ def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):
 # ---------------------------------------------------------------------------
 
 
-def _slow_jump_fn(model, state_name="x"):
-    return lambda sub, z: model.slow_jump(sub[state_name], z)
+def _slow_jump_fn(model, name):
+    return lambda sub, z: model.slow_jump(sub[name], z)
 
 
-def _fast_jump_fn(model, y_name="y"):
-    return lambda sub, z: model.fast_jump(sub["x"], sub[y_name], z)
-
-
-def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, eps, twin=None):
-    """The coupled system at the run's eps, or at each multi-rate block's
-    own; with the averaged `twin`, the coupled pair, whose extra output
-    "clamped" counts each block's table clamps (see `_TwinClamps`)."""
-    eps = [eps if cfg is None else cfg.epsilon for cfg in kernel.configs]
-    cx = kernel.add_component(
-        "x", model.dim_slow, x0,
-        drift=lambda sub: model.slow_drift(sub["x"], sub["y"]),
-        diffusion=lambda sub: model.slow_diffusion(sub["x"], sub["y"]),
-        wiener="w1", wiener_dim=model.dw_slow, time_scale=1.0,
+def _add_slow(kernel: _Kernel, model: ModelSpec, name, x0, drift):
+    """A slow component on W1 with `drift`, diffusing as the model's x."""
+    kernel.add_component(
+        name, model.dim_slow, x0, drift=drift,
+        diffusion=lambda sub: model.slow_diffusion(sub[name], sub["y"]),
+        wiener="w1", wiener_dim=model.dw_slow,
     )
-    cy = kernel.add_component(
-        "y", model.dim_fast, y0,
-        drift=lambda sub: model.fast_drift(sub["x"], sub["y"]),
-        diffusion=lambda sub: model.fast_diffusion(sub["x"], sub["y"]),
-        wiener="w2", wiener_dim=model.dw_fast,
-        time_scale=kernel.per_block([1.0 / e for e in eps]),
-    )
-    slow_targets = [("x", _slow_jump_fn(model, "x"))]
+
+
+def _fast_half(kernel: _Kernel, model: ModelSpec, y0s):
+    """The fast equation on W2 at each block's eps (time scale 1/eps), one
+    component per initial state: y, then its synchronous copy y2. Returns
+    the fast channel's rates (intensity/eps) and targets."""
+    eps = [cfg.epsilon for cfg in kernel.configs]
+    names = ["y", "y2"][:len(y0s)]
+    for name, y0 in zip(names, y0s):
+        kernel.add_component(
+            name, model.dim_fast, y0,
+            drift=lambda sub, name=name: model.fast_drift(sub["x"], sub[name]),
+            diffusion=lambda sub, name=name: model.fast_diffusion(sub["x"], sub[name]),
+            wiener="w2", wiener_dim=model.dw_fast,
+            time_scale=kernel.per_block([1.0 / e for e in eps]),
+        )
+    return ([model.fast_measure.intensity / e for e in eps],
+            [(name, lambda sub, z, name=name: model.fast_jump(sub["x"], sub[name], z))
+             for name in names])
+
+
+def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
+    """The coupled system at each block's eps; with the averaged `twin`,
+    the coupled pair (x and xt share W1 and the slow jumps), whose extra
+    output "clamped" counts each block's table clamps (`_TwinClamps`)."""
+    _add_slow(kernel, model, "x", x0,
+              lambda sub: model.slow_drift(sub["x"], sub["y"]))
+    fast = _fast_half(kernel, model, [y0])
+    slow = ["x"]
     if twin is not None:
         clamps = _TwinClamps(twin, kernel)
-        ct = kernel.add_component(
-            "xt", model.dim_slow, x0,
-            drift=lambda sub: clamps.drift(sub["xt"]),
-            diffusion=lambda sub: model.slow_diffusion(sub["xt"], sub["y"]),
-            wiener="w1", wiener_dim=model.dw_slow, time_scale=1.0,
-        )
-        slow_targets.append(("xt", _slow_jump_fn(model, "xt")))
+        _add_slow(kernel, model, "xt", x0, lambda sub: clamps.drift(sub["xt"]))
+        slow.append("xt")
     kernel.add_channel("slow", model.slow_measure, model.slow_measure.intensity,
-                       slow_targets)
-    kernel.add_channel("fast", model.fast_measure,
-                       [model.fast_measure.intensity / e for e in eps],
-                       [("y", _fast_jump_fn(model))])
-    kernel.set_compensator(cx, model.slow_measure, _slow_jump_fn(model, "x"))
-    kernel.set_compensator(cy, model.fast_measure, _fast_jump_fn(model))
+                       [(n, _slow_jump_fn(model, n)) for n in slow])
+    kernel.add_channel("fast", model.fast_measure, *fast)
     if twin is not None:
-        kernel.set_compensator(ct, model.slow_measure, _slow_jump_fn(model, "xt"))
         return {"clamped": clamps.counts}
 
 
@@ -743,42 +746,25 @@ class _TwinClamps:
         return value
 
 
-def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0, second_y0=None):
-    kernel.add_constant("x", x, model.dim_slow)
-    cy = kernel.add_component(
-        "y", model.dim_fast, y0,
-        drift=lambda sub: model.fast_drift(sub["x"], sub["y"]),
-        diffusion=lambda sub: model.fast_diffusion(sub["x"], sub["y"]),
-        wiener="w2", wiener_dim=model.dw_fast, time_scale=1.0,
-    )
-    targets = [("y", _fast_jump_fn(model, "y"))]
-    if second_y0 is not None:
-        cz = kernel.add_component(
-            "y2", model.dim_fast, second_y0,
-            drift=lambda sub: model.fast_drift(sub["x"], sub["y2"]),
-            diffusion=lambda sub: model.fast_diffusion(sub["x"], sub["y2"]),
-            wiener="w2", wiener_dim=model.dw_fast, time_scale=1.0,
-        )
-        targets.append(("y2", _fast_jump_fn(model, "y2")))
-    kernel.add_channel("fast", model.fast_measure, model.fast_measure.intensity,
-                       targets)
-    kernel.set_compensator(cy, model.fast_measure, _fast_jump_fn(model, "y"))
-    if second_y0 is not None:
-        kernel.set_compensator(cz, model.fast_measure, _fast_jump_fn(model, "y2"))
+def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0s):
+    """The frozen equation: the fast half at the constant slow state `x`,
+    on blocks at eps = 1."""
+    kernel.states["x"] = _init_state(x, model.dim_slow, kernel.n_paths)
+    kernel.add_channel("fast", model.fast_measure, *_fast_half(kernel, model, y0s))
 
 
 def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
+    """The weak-form averaged equation on its own W and slow jumps."""
     if not getattr(avg, "has_diffusion", False):
         raise ConfigurationError("averaged coefficients lack squared-diffusion data")
-    cx = kernel.add_component(
+    kernel.add_component(
         "x", model.dim_slow, x0,
         drift=lambda sub: avg.drift(sub["x"]),
         diffusion=lambda sub: avg.diffusion_root(sub["x"]),
-        wiener="w", wiener_dim=model.dim_slow, time_scale=1.0,
+        wiener="w", wiener_dim=model.dim_slow,
     )
     kernel.add_channel("slow", model.slow_measure, model.slow_measure.intensity,
                        [("x", _slow_jump_fn(model, "x"))])
-    kernel.set_compensator(cx, model.slow_measure, _slow_jump_fn(model, "x"))
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +853,10 @@ class _PathRecorder:
 # ---------------------------------------------------------------------------
 
 
-def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
-           sup=None, frozen=False, watchers=(), checkpoints=(), record=False):
-    """Build, run and read out one kernel; every batch entry point ends here.
+def _drive(build, cfg: StepperConfig, n_paths, stream, *, outputs, paths=None,
+           sup=None, watchers=(), checkpoints=(), record=False):
+    """Build, run and read out one kernel on the time grid of `cfg` (and
+    of the blocks' own configs); every batch entry point ends here.
 
     `build(kernel)` may return extra outputs, read after the run.
     `outputs` maps result keys to the components whose terminal states
@@ -878,12 +865,9 @@ def _drive(build, n_paths, t_end, delta, scheme, stream, *, outputs, paths=None,
     (slow, fast) component names of a recorded PathSample, carrying the
     events that hit those components.
     """
-    if frozen and not 0 < delta <= _MAX_FAST_SUBSTEP * (1 + 1e-12):
-        raise ConfigurationError("frozen dynamics require 0 < delta <= 1/16")
     if record and n_paths != 1:
         raise ConfigurationError("path recording requires a single path")
-    kernel = _Kernel(n_paths=n_paths, t_end=t_end, delta=delta, scheme=scheme,
-                     stream=stream)
+    kernel = _Kernel(cfg, n_paths, stream)
     if kernel.multi and watchers:
         raise ConfigurationError("watchers need blocks of one step")
     extra = build(kernel) or {}
@@ -907,8 +891,7 @@ def run_system_batch(model: ModelSpec, x0, y0, cfg: StepperConfig, n_paths: int,
                      record: bool = False):
     """Vectorized batch of coupled slow-fast paths; returns terminal states,
     checkpoint snapshots and, with `record` (one path), the path."""
-    return _drive(lambda k: _build_slow_fast(k, model, x0, y0, cfg.epsilon),
-                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+    return _drive(lambda k: _build_slow_fast(k, model, x0, y0), cfg, n_paths, stream,
                   outputs={"terminal_slow": "x", "terminal_fast": "y"},
                   paths={"path": ("x", "y")}, watchers=watchers,
                   checkpoints=checkpoints, record=record)
@@ -929,8 +912,8 @@ def run_pair_batch(model: ModelSpec, avg, x0, y0, cfg: StepperConfig,
         raise ConfigurationError(
             "pathwise coupling requires a slow diffusion independent of the fast state"
         )
-    return _drive(lambda k: _build_slow_fast(k, model, x0, y0, cfg.epsilon, twin=avg),
-                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+    return _drive(lambda k: _build_slow_fast(k, model, x0, y0, twin=avg), cfg,
+                  n_paths, stream,
                   outputs={"terminal_system": "x", "terminal_averaged": "xt"},
                   paths={"path_system": ("x", "y"), "path_averaged": ("xt", None)},
                   sup=("x", "xt"), checkpoints=checkpoints, record=record)
@@ -941,11 +924,13 @@ def run_frozen_batch(model: ModelSpec, x, y0, horizon: float, delta: float,
                      checkpoints=(), record: bool = False):
     """Vectorized frozen-equation chains at a fixed slow state `x`, or at
     one slow state per chain (shape (n_chains, dim), e.g. with stream
-    blocks); with `record` (one chain), the path of the fast state."""
-    return _drive(lambda k: _build_frozen(k, model, x, y0),
-                  n_chains, horizon, delta, "tamed_euler", stream, frozen=True,
-                  outputs={"terminal_fast": "y"}, paths={"path": (None, "y")},
-                  watchers=watchers, checkpoints=checkpoints, record=record)
+    blocks); with `record` (one chain), the path of the fast state. Its
+    config is StepperConfig(epsilon=1.0, delta=delta, t_end=horizon)."""
+    return _drive(lambda k: _build_frozen(k, model, x, [y0]),
+                  StepperConfig(epsilon=1.0, delta=delta, t_end=horizon),
+                  n_chains, stream, outputs={"terminal_fast": "y"},
+                  paths={"path": (None, "y")}, watchers=watchers,
+                  checkpoints=checkpoints, record=record)
 
 
 def run_frozen_pair_batch(model: ModelSpec, x, y0_a, y0_b, horizon: float,
@@ -953,9 +938,10 @@ def run_frozen_pair_batch(model: ModelSpec, x, y0_a, y0_b, horizon: float,
                           watchers=()):
     """Synchronously coupled frozen pairs: same Wiener path, same jump
     events and marks, same slow state."""
-    return _drive(lambda k: _build_frozen(k, model, x, y0_a, second_y0=y0_b),
-                  n_pairs, horizon, delta, "tamed_euler", stream, frozen=True,
-                  outputs={"final_a": "y", "final_b": "y2"}, watchers=watchers)
+    return _drive(lambda k: _build_frozen(k, model, x, [y0_a, y0_b]),
+                  StepperConfig(epsilon=1.0, delta=delta, t_end=horizon),
+                  n_pairs, stream, outputs={"final_a": "y", "final_b": "y2"},
+                  watchers=watchers)
 
 
 def run_averaged_batch(model: ModelSpec, avg, x0, cfg: StepperConfig,
@@ -964,7 +950,6 @@ def run_averaged_batch(model: ModelSpec, avg, x0, cfg: StepperConfig,
     """Vectorized batch of weak-form averaged paths, driven by their own
     Wiener process and slow jump stream, with diffusion equal to the PSD
     root of the averaged squared diffusion."""
-    return _drive(lambda k: _build_averaged(k, model, avg, x0),
-                  n_paths, cfg.t_end, cfg.delta, cfg.scheme, stream,
+    return _drive(lambda k: _build_averaged(k, model, avg, x0), cfg, n_paths, stream,
                   outputs={"terminal_slow": "x"}, paths={"path": ("x", None)},
                   watchers=watchers, checkpoints=checkpoints, record=record)

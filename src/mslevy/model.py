@@ -400,10 +400,15 @@ class AssumptionReport:
 
 def _boxes(model, box):
     if isinstance(box, (tuple, list)) and len(box) == 2 and np.isscalar(box[0]):
-        return float(box[0]), float(box[1])
-    if np.isscalar(box):
-        return float(box), float(box)
-    raise ConfigurationError("box must be a half-width or (slow, fast) half-widths")
+        halves = float(box[0]), float(box[1])
+    elif np.isscalar(box):
+        halves = float(box), float(box)
+    else:
+        raise ConfigurationError("box must be a half-width or (slow, fast) half-widths")
+    if not all(0 < h < np.inf for h in halves):
+        raise ConfigurationError(
+            f"box half-widths must be positive and finite, not {box!r}")
+    return halves
 
 
 def _pair_sample(gen, half, shape):

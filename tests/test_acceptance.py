@@ -265,15 +265,20 @@ def test_10_strong_monotone_trend_and_step_halving(strong_table):
     independent replicates to isolate the discretization bias.
     """
     model = example_2_7("state_linear")
+    # the 12 (replicate, delta) runs as the multi-rate blocks of one
+    # kernel, every 2^-13 block first; each keeps its own run's numbers
+    n, reps, deltas = 1200, range(6), (2**-13, 2**-12)
+    cfgs = {d: StepperConfig(epsilon=2**-4, delta=d, t_end=1.0) for d in deltas}
+    keys = [(d, rep) for d in deltas for rep in reps]
+    blocks = [(RngStream(9400 + rep).child(f"d{d}"), n, cfgs[d]) for d, rep in keys]
+    out = run_pair_batch(model, strong_table, 1.0, 1.0, cfgs[2**-13],
+                         n_paths=n * len(blocks), stream=blocks)
+    sups = {key: out["sup"][b * n:(b + 1) * n] for b, key in enumerate(keys)}
     diffs, halves = [], []
-    for rep in range(6):
+    for rep in reps:
         level = {}
         for delta in (2**-12, 2**-13):
-            cfg = StepperConfig(epsilon=2**-4, delta=delta, t_end=1.0)
-            out = run_pair_batch(model, strong_table, 1.0, 1.0, cfg,
-                                 n_paths=1200,
-                                 stream=RngStream(9400 + rep).child(f"d{delta}"))
-            sp = out["sup"] ** 2
+            sp = sups[delta, rep] ** 2
             level[delta] = float(np.mean(sp)) ** 0.5
             halves.append(1.96 * sp.std(ddof=1) / np.sqrt(sp.size)
                           / (2.0 * level[delta]))

@@ -128,6 +128,15 @@ class TestValidateModel:
         assert [c["assumption"] for c in failed] == ["fast_contraction"]
 
 
+    @pytest.mark.parametrize("box", [-2.0, 0.0])
+    def test_box_that_is_not_positive_exit_2(self, tmp_path, box):
+        p = write_cfg(tmp_path, {"model": "example_2_7_linear", "probes": 50,
+                                 "box": box})
+        out = tmp_path / "out"
+        assert run("validate-model", p, out_dir=out) == 2
+        assert "box half-widths must be positive" in (out / "error.log").read_text()
+
+
 class TestCommandsAndReplay:
     def test_frozen_stats_outputs_and_determinism(self, tmp_path):
         payload = {"model": dict(JUMP_OU_CFG), "seed": 11, "x": 0.0,
@@ -200,6 +209,23 @@ class TestCommandsAndReplay:
         assert run("poisson-check", p, out_dir=out) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["value"][0] == pytest.approx(1.0, abs=0.35)
+
+    @pytest.mark.parametrize("s", [-0.1, 0.0])
+    def test_semigroup_shift_that_is_not_positive_exit_2(self, tmp_path, s):
+        # the corrector-narrow benchmark's no-jump cubic model, small budgets;
+        # a zero shift would pass vacuously, a negative one end in a blow-up
+        no_jumps = {"intensity": 0.0, "size": {"kind": "uniform", "lo": -0.5,
+                                               "hi": 0.5}}
+        model = {"b": "-pow(x,3)+x+pow(y,3)", "sigma": "x",
+                 "f": "sin(x)-y-pow(y,5)", "g": "1", "nu1": no_jumps,
+                 "nu2": no_jumps}
+        p = write_cfg(tmp_path, {"model": model, "seed": 42, "x": 0.0, "y": 1.0,
+                                 "t_cut": 2.0, "n_traj": 64, "delta": 2**-6,
+                                 "chains": 4, "burn_in": 1.0, "horizon": 4.0,
+                                 "semigroup_s": s, "endpoint_draws": 2})
+        out = tmp_path / "out"
+        assert run("poisson-check", p, out_dir=out) == 2
+        assert "error_code=2" in (out / "error.log").read_text()
 
     def test_avg_table_command(self, tmp_path):
         payload = {"model": dict(JUMP_OU_CFG), "seed": 51,

@@ -131,6 +131,28 @@ class TestStrongError:
                          n_paths=4, x0=0.0, y0=0.0, stream=RngStream(1))
 
 
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.2, float("nan")])
+@pytest.mark.parametrize("sweep", ["strong", "coupled", "independent"])
+def test_confidence_outside_the_open_unit_interval_is_refused(sweep, confidence,
+                                                              monkeypatch):
+    # refused before any path runs, by both sweeps in every mode
+    calls = []
+    for name in ("run_pair_batch", "run_system_batch", "run_averaged_batch"):
+        monkeypatch.setattr(mslevy.integrate, name,
+                            lambda *args, **kwargs: calls.append(args))
+    avg = ExactAveraged(lambda x: -x, lambda x: np.full((len(x), 1, 1), 0.09))
+    kw = dict(eps=[2**-2, 2**-4, 2**-6], t_end=0.5, n_paths=4,
+              confidence=confidence, stream=RngStream(406))
+    with pytest.raises(ConfigurationError, match="confidence"):
+        if sweep == "strong":
+            strong_error(_fast_free_model(), avg, x0=1.0, y0=0.0, **kw)
+        else:
+            weak_error(_fast_free_model(), avg, make_test_function("x_squared"),
+                       mode="independent" if sweep == "independent"
+                       else "coupled_difference", **kw)
+    assert calls == []
+
+
 class TestWeakError:
     def test_stub_recovers_first_order_exactly(self, monkeypatch):
         monkeypatch.setattr(mslevy.integrate, "run_pair_batch",

@@ -10,6 +10,7 @@ from mslevy.integrate import (
     StepperConfig,
     run_averaged_batch,
     run_frozen_batch,
+    run_frozen_pair_batch,
     run_pair_batch,
     run_system_batch,
 )
@@ -46,6 +47,20 @@ class TestConfig:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigurationError):
             StepperConfig(epsilon=0.25, delta=2**-8, t_end=1.0, scheme="milstein")
+
+    @pytest.mark.parametrize("horizon, delta", [(0.0, 2**-6), (-0.1, 2**-6),
+                                                (1.0, 2**-3), (1.0, 0.0)])
+    def test_frozen_runs_are_eps_one_configs(self, horizon, delta):
+        # the frozen equation is the fast half at eps = 1: its horizon must
+        # be positive and its step at most 1/16, for single and paired runs,
+        # also without jumps (no event sampling to catch the horizon)
+        m = _ou_model(nu2=JumpMeasureSpec(0.0, Uniform(-0.5, 0.5)))
+        with pytest.raises(ConfigurationError):
+            run_frozen_batch(m, 0.0, 1.0, horizon=horizon, delta=delta,
+                             n_chains=4, stream=RngStream(13))
+        with pytest.raises(ConfigurationError):
+            run_frozen_pair_batch(m, 0.0, 1.0, -1.0, horizon=horizon, delta=delta,
+                                  n_pairs=4, stream=RngStream(13))
 
 
 class TestZeroAndJumpDynamics:
@@ -465,9 +480,9 @@ class TestStreamBlocks:
                          nu1=JumpMeasureSpec(intensity=4.0, size=Uniform(0.1, 0.6)))
 
         def correction(x0):
-            kernel = integrate._Kernel(n_paths=8, t_end=1.0, delta=2**-6,
-                                       scheme="tamed_euler", stream=RngStream(21))
-            integrate._build_slow_fast(kernel, m, np.array(x0)[:, None], 0.0, 1.0)
+            cfg = StepperConfig(epsilon=1.0, delta=2**-6, t_end=1.0)
+            kernel = integrate._Kernel(cfg, 8, RngStream(21))
+            integrate._build_slow_fast(kernel, m, np.array(x0)[:, None], 0.0)
             return kernel.components[0].compensator(kernel.states)
 
         left = correction([-3.0] * 4 + [3.0] * 4)
