@@ -162,7 +162,6 @@ _SCHEMAS: dict[str, dict] = {
     },
     "avg-table": {
         "table": (True, None, _block("table", _TABLE_BLOCK)),
-        "extrapolation": (False, "clamp", _str("extrapolation", ("clamp", "error"))),
     },
     "poisson-check": {
         "x": (True, None, _num("x")),
@@ -310,23 +309,23 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 def _table_cache_key(model_ref, tb: dict, seed: int) -> str:
-    payload = json.dumps({"model": model_ref, "table": tb, "seed": seed},
+    payload = json.dumps({"model": model_ref, "table": tb, "seed": seed,
+                          "format_version": ergodic._TABLE_FORMAT_VERSION},
                          sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _build_table(model, tb: dict, extrapolation: str, stream: RngStream):
+def _build_table(model, tb: dict, stream: RngStream):
     """The averaged table of a `table` config block."""
     inv_cfg = ergodic.InvariantConfig(
         n_chains=tb["chains"], burn_in=tb["burn_in"], horizon=tb["horizon"],
         delta=tb["delta"], thin=tb["thin"], y0=tb["y0"])
     return ergodic.build_averaged_table(
-        model, tuple(tb["box"]), tb["nodes"], inv_cfg, stream,
-        extrapolation=extrapolation)
+        model, tuple(tb["box"]), tb["nodes"], inv_cfg, stream)
 
 
-def _get_table(model, model_ref, tb: dict, extrapolation: str, seed: int,
-               out: Path, stream: RngStream):
+def _get_table(model, model_ref, tb: dict, seed: int, out: Path,
+               stream: RngStream):
     """Build the averaged table or load it from the run cache."""
     cache = out / "cache"
     cache.mkdir(exist_ok=True)
@@ -335,7 +334,7 @@ def _get_table(model, model_ref, tb: dict, extrapolation: str, seed: int,
     meta_p = cache / f"avg_table_{key}.json"
     if csv_p.exists() and meta_p.exists():
         return ergodic.load_averaged_table(csv_p, meta_p), True
-    table = _build_table(model, tb, extrapolation, stream)
+    table = _build_table(model, tb, stream)
     ergodic.save_averaged_table(table, csv_p, meta_p)
     return table, False
 
@@ -408,7 +407,7 @@ def _cmd_frozen_stats(model, cfg, out, stream):
 def _cmd_avg_table(model, cfg, out, stream):
     opts = cfg.options
     tb = opts["table"]
-    table = _build_table(model, tb, opts["extrapolation"], stream)
+    table = _build_table(model, tb, stream)
     ergodic.save_averaged_table(table, out / "avg_table.csv",
                                 out / "avg_table.json")
     lines = [f"averaged table: {tb['nodes']} nodes on {tb['box']}, "
@@ -483,7 +482,7 @@ def _cmd_ergodicity(model, cfg, out, stream):
 
 def _order_command(kind, model, cfg, out, stream):
     opts = cfg.options
-    table, cached = _get_table(model, cfg.model_ref, opts["table"], "clamp",
+    table, cached = _get_table(model, cfg.model_ref, opts["table"],
                                stream.master_seed, out, stream.child("table"))
     policy = estimate.DeltaPolicy(mode=opts["delta_policy"]["mode"],
                                   fast_exp=opts["delta_policy"]["fast_exp"])

@@ -53,7 +53,6 @@ __all__ = [
     "ergodicity_decay",
 ]
 
-_EXTRAPOLATIONS = ("clamp", "error")
 # a table axis is uniform when every node lies within this fraction of a
 # spacing of its place on the evenly spaced grid between its end nodes
 _UNIFORM_TOL = 1e-3
@@ -318,7 +317,7 @@ class ExactAveraged:
     def __init__(self, drift_fn, diff2_fn=None):
         self._drift = drift_fn
         self._diff2 = diff2_fn
-        self.clamp_count = 0
+        self.outside = None     # exact coefficients never clamp
 
     @property
     def has_diffusion(self) -> bool:
@@ -340,35 +339,29 @@ class ExactAveraged:
 class AveragedTable:
     """Grid of averaged drift and squared diffusion with CIs.
 
-    Piecewise-linear interpolation between nodes; queries outside the box
-    follow the extrapolation policy ("clamp" returns the boundary value
-    and counts the event, "error" raises). After each lookup, `outside`
-    is the mask of its clamped queries, or None when there were none.
-    Stored diffusion nodes are symmetric PSD, so linear interpolation
-    stays PSD. The axis must be a uniform grid (as built, and as reloaded
-    from 17 digits), so a lookup finds its segment by a floor index.
+    Piecewise-linear interpolation between the nodes of `grid`; a query
+    outside the box gets the boundary value. After each lookup, `outside`
+    is the mask of its clamped queries, or None when there were none; a
+    kernel run counts its clamps from it. Stored diffusion nodes are
+    symmetric PSD, so linear interpolation stays PSD. The grid must be
+    uniform (as built, and as reloaded from 17 digits), so a lookup finds
+    its segment by a floor index.
     """
 
-    axes: tuple
+    grid: np.ndarray
     drift_values: np.ndarray
     drift_ci: np.ndarray
     diff2_values: np.ndarray
     diff2_ci: np.ndarray
-    extrapolation: str = "clamp"
     meta: dict = field(default_factory=dict)
     max_clip: float = 0.0
-    clamp_count: int = 0
     has_diffusion = True    # not a field: every table holds diff2_values
 
     def __post_init__(self):
-        if self.extrapolation not in _EXTRAPOLATIONS:
-            raise ConfigurationError(f"extrapolation must be one of {_EXTRAPOLATIONS}")
-        if len(self.axes) != 1:
-            raise ConfigurationError("averaged tables are built on 1-d slow grids")
-        g = self.axes[0]
-        n = len(g)
-        if n < 2 or not np.all(np.diff(g) > 0):
+        g = self.grid
+        if np.ndim(g) != 1 or len(g) < 2 or not np.all(np.diff(g) > 0):
             raise ConfigurationError("a table axis needs at least 2 increasing nodes")
+        n = len(g)
         self._scale = (n - 1) / (g[-1] - g[0])
         if np.max(np.abs((g - g[0]) * self._scale - np.arange(n))) > _UNIFORM_TOL:
             raise ConfigurationError("a table axis must be a uniform grid")
@@ -379,16 +372,11 @@ class AveragedTable:
         self.outside = None
 
     def _locate(self, x: np.ndarray):
-        g = self.axes[0]
+        g = self.grid
         q = np.asarray(x, dtype=float)[:, 0]
         outside = (q < g[0]) | (q > g[-1])
         self.outside = None
         if outside.any():
-            if self.extrapolation == "error":
-                raise ConfigurationError(
-                    f"query {q[outside][0]!r} outside table box [{g[0]}, {g[-1]}]"
-                )
-            self.clamp_count += int(outside.sum())
             self.outside = outside
             q = np.clip(q, g[0], g[-1])
         # the floor of the node position is at most one node off on a
@@ -413,9 +401,6 @@ class AveragedTable:
     def diffusion_root(self, x: np.ndarray) -> np.ndarray:
         return _psd_root_batch(self.diff2(x), x)[0]
 
-    def node_count(self) -> int:
-        return int(self.drift_values.shape[0])
-
 
 def _pilot_rates(model, x_center, delta, stream):
     """Pilot decay fit used to size burn-in and horizon."""
@@ -427,8 +412,7 @@ def _pilot_rates(model, x_center, delta, stream):
 
 
 def build_averaged_table(model: ModelSpec, box, nodes: int,
-                         inv_cfg: InvariantConfig, stream: RngStream, *,
-                         extrapolation: str = "clamp") -> AveragedTable:
+                         inv_cfg: InvariantConfig, stream: RngStream) -> AveragedTable:
     """Estimate averaged coefficients on a uniform grid and validate the
     interpolant by leave-node-out error on interior nodes.
 
@@ -496,18 +480,17 @@ def build_averaged_table(model: ModelSpec, box, nodes: int,
         "thin": inv_cfg.thin,
     }
     return AveragedTable(
-        axes=(grid,),
+        grid=grid,
         drift_values=drift_values,
         drift_ci=drift_ci,
         diff2_values=diff2_values,
         diff2_ci=diff2_ci,
-        extrapolation=extrapolation,
         meta=meta,
         max_clip=max_clip,
     )
 
 
-_TABLE_FORMAT_VERSION = 1
+_TABLE_FORMAT_VERSION = 2
 
 
 def save_averaged_table(table: AveragedTable, csv_path, meta_path):
@@ -520,8 +503,8 @@ def save_averaged_table(table: AveragedTable, csv_path, meta_path):
             + [f"diff2_{i}{j}" for i in range(n) for j in range(n)]
             + [f"diff2_ci_{i}{j}" for i in range(n) for j in range(n)])
     lines = [",".join(cols)]
-    for k in range(table.node_count()):
-        row = ([table.axes[0][k]]
+    for k, x in enumerate(table.grid):
+        row = ([x]
                + list(table.drift_values[k]) + list(table.drift_ci[k])
                + list(table.diff2_values[k].ravel())
                + list(table.diff2_ci[k].ravel()))
@@ -531,7 +514,6 @@ def save_averaged_table(table: AveragedTable, csv_path, meta_path):
     header = {
         "format_version": _TABLE_FORMAT_VERSION,
         "dim": n,
-        "extrapolation": table.extrapolation,
         "max_clip": table.max_clip,
         "meta": table.meta,
     }
@@ -543,8 +525,9 @@ def save_averaged_table(table: AveragedTable, csv_path, meta_path):
 def load_averaged_table(csv_path, meta_path) -> AveragedTable:
     with open(meta_path) as fh:
         header = json.load(fh)
-    if header.get("format_version") != _TABLE_FORMAT_VERSION:
-        raise ConfigurationError("unsupported table format version")
+    version = header.get("format_version")
+    if version != _TABLE_FORMAT_VERSION:
+        raise ConfigurationError(f"unsupported table format version {version!r}")
     n = int(header["dim"])
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     grid = data[:, 0]
@@ -554,12 +537,11 @@ def load_averaged_table(csv_path, meta_path) -> AveragedTable:
     diff2 = data[:, at:at + n * n].reshape(-1, n, n); at += n * n
     diff2_ci = data[:, at:at + n * n].reshape(-1, n, n)
     return AveragedTable(
-        axes=(grid,),
+        grid=grid,
         drift_values=drift,
         drift_ci=drift_ci,
         diff2_values=diff2,
         diff2_ci=diff2_ci,
-        extrapolation=header["extrapolation"],
         meta=header["meta"],
         max_clip=float(header["max_clip"]),
     )
@@ -689,8 +671,11 @@ def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
 
     The right side is a fresh short-horizon run; the left side averages
     corrector estimates over endpoint draws, so the identity is tested
-    without assuming it.
+    without assuming it. The shift s (a config's semigroup_s) must be
+    positive.
     """
+    if not s > 0:
+        raise ConfigurationError(f"semigroup_s must be positive, not {s!r}")
     ends = run_frozen_batch(model, x, y, horizon=s, delta=delta,
                             n_chains=endpoint_draws,
                             stream=stream.child("endpoints"))["terminal_fast"]

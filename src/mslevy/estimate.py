@@ -227,15 +227,14 @@ def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
     The levels are the multi-rate stream blocks of one run_pair_batch (one
     per group, when steps are not power-of-two multiples of each other),
     so each sees the draws, and so the numbers, of its own run. Returns
-    each level's (sup, checkpoint snapshots), and the running table-clamp
-    count after each level as if the levels ran one after another. A
+    each level's (sup, checkpoint snapshots), and the running sum of the
+    levels' table clamps (each level's `out["clamped"]`), from 0. A
     blow-up on any path aborts the whole sweep, naming its level.
     """
     cfgs = [_integrate.StepperConfig(epsilon=e, delta=policy.delta_for(e, eps[-1]),
                                      t_end=t_end) for e in eps]
     levels = [None] * len(eps)
     clamps = np.zeros(len(eps), dtype=np.int64)
-    before = int(getattr(avg, "clamp_count", 0))
     for group in _integrate._rate_groups(cfgs):
         blocks = [(stream.child(f"{tag}:{j}"), n_paths, cfgs[j]) for j in group]
         try:
@@ -253,7 +252,7 @@ def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
                          {t: {n: v[rows].copy() for n, v in snap.items()}
                           for t, snap in out["checkpoints"].items()})
             clamps[j] = out["clamped"][b]
-    return levels, (before + np.cumsum(clamps)).tolist()
+    return levels, np.cumsum(clamps).tolist()
 
 
 def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
@@ -332,13 +331,14 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
         raise ConfigurationError(
             "coupled_difference requires sigma independent of the fast state"
         )
-    if mode == "independent" and not getattr(avg, "has_diffusion", False):
+    if mode == "independent" and not avg.has_diffusion:
         raise ConfigurationError("independent mode needs averaged diffusion data")
     eps = _prepare_eps(eps)
     _check_confidence(confidence)
     policy = delta_policy or DeltaPolicy()
     cps = tuple(f * t_end for f in _CHECKPOINT_FRACS)
     errors, halves, counts, clamps = [], [], [], []
+    clamped = 0
     if mode == "coupled_difference":
         levels, clamps = _pair_sweep(model, avg, eps, policy, "weak", stream,
                                      t_end=t_end, n_paths=n_paths, x0=x0, y0=y0,
@@ -380,7 +380,8 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
                 z = stats.norm.ppf(0.5 + confidence / 2.0)
                 halves.append(float(z * se[int(np.argmax(np.abs(gaps)))]))
                 errors.append(err)
-            clamps.append(int(getattr(avg, "clamp_count", 0)))
+            clamped += int(avg_out["clamped"].sum())
+            clamps.append(clamped)
         counts.append(n_paths)
     errors = np.asarray(errors)
     halves = np.asarray(halves)

@@ -713,13 +713,13 @@ def _fast_half(kernel: _Kernel, model: ModelSpec, y0s):
 def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
     """The coupled system at each block's eps; with the averaged `twin`,
     the coupled pair (x and xt share W1 and the slow jumps), whose extra
-    output "clamped" counts each block's table clamps (`_TwinClamps`)."""
+    output "clamped" counts each block's table clamps (`_Clamps`)."""
     _add_slow(kernel, model, "x", x0,
               lambda sub: model.slow_drift(sub["x"], sub["y"]))
     fast = _fast_half(kernel, model, [y0])
     slow = ["x"]
     if twin is not None:
-        clamps = _TwinClamps(twin, kernel)
+        clamps = _Clamps(twin, kernel)
         _add_slow(kernel, model, "xt", x0, lambda sub: clamps.drift(sub["xt"]))
         slow.append("xt")
     kernel.add_channel("slow", model.slow_measure, model.slow_measure.intensity,
@@ -729,17 +729,23 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
         return {"clamped": clamps.counts}
 
 
-class _TwinClamps:
-    """The averaged twin's drift, counting per block the rows whose table
-    lookup fell outside the box (the mask a table leaves in `outside`)."""
+class _Clamps:
+    """The averaged coefficients' lookups of a run, counting per block the
+    rows that fell outside the table's box (the mask a table leaves in
+    `outside`; exact coefficients leave None)."""
 
     def __init__(self, avg, kernel: _Kernel):
         self.avg, self.kernel = avg, kernel
         self.counts = np.zeros(len(kernel.blocks), dtype=np.int64)
 
     def drift(self, x):
-        value = self.avg.drift(x)
-        outside = getattr(self.avg, "outside", None)
+        return self._count(self.avg.drift(x))
+
+    def diffusion_root(self, x):
+        return self._count(self.avg.diffusion_root(x))
+
+    def _count(self, value):
+        outside = self.avg.outside
         if outside is not None:
             seen = np.concatenate(([0], np.cumsum(outside)))
             self.counts += np.diff(seen[self.kernel._rows])
@@ -754,17 +760,20 @@ def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0s):
 
 
 def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
-    """The weak-form averaged equation on its own W and slow jumps."""
-    if not getattr(avg, "has_diffusion", False):
+    """The weak-form averaged equation on its own W and slow jumps, whose
+    extra output "clamped" counts each block's table clamps (`_Clamps`)."""
+    if not avg.has_diffusion:
         raise ConfigurationError("averaged coefficients lack squared-diffusion data")
+    clamps = _Clamps(avg, kernel)
     kernel.add_component(
         "x", model.dim_slow, x0,
-        drift=lambda sub: avg.drift(sub["x"]),
-        diffusion=lambda sub: avg.diffusion_root(sub["x"]),
+        drift=lambda sub: clamps.drift(sub["x"]),
+        diffusion=lambda sub: clamps.diffusion_root(sub["x"]),
         wiener="w", wiener_dim=model.dim_slow,
     )
     kernel.add_channel("slow", model.slow_measure, model.slow_measure.intensity,
                        [("x", _slow_jump_fn(model, "x"))])
+    return {"clamped": clamps.counts}
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +958,9 @@ def run_averaged_batch(model: ModelSpec, avg, x0, cfg: StepperConfig,
                        checkpoints=(), record: bool = False):
     """Vectorized batch of weak-form averaged paths, driven by their own
     Wiener process and slow jump stream, with diffusion equal to the PSD
-    root of the averaged squared diffusion."""
+    root of the averaged squared diffusion. `clamped` is the number of
+    table clamps in each stream block, counting drift and diffusion
+    lookups (two per advance)."""
     return _drive(lambda k: _build_averaged(k, model, avg, x0), cfg, n_paths, stream,
                   outputs={"terminal_slow": "x"}, paths={"path": ("x", None)},
                   watchers=watchers, checkpoints=checkpoints, record=record)

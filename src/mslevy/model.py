@@ -19,14 +19,15 @@ counterexample witness whenever a probe violates the declared bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .expressions import compile_expression
-from .rng import JumpMeasureSpec, RngStream, _mark_affine, default_jump_measure
+from .rng import (JumpMeasureSpec, RngStream, _check_numbers, _mark_affine,
+                  default_jump_measure)
 
 __all__ = [
     "AssumptionParams",
@@ -143,15 +144,15 @@ class ModelSpec:
                 )
 
 
-def _lift(fn, signature="xy", axes=1):
+def _lift(fn, signature="xy", trailing=1):
     """Lift flat coefficient fn into the (paths, 1) batch convention.
 
     signature "xy" maps fn(x, y), "xz" fn(x, z) and "xyz" fn(x, y, z),
     where states arrive as (paths, 1) columns and marks as flat arrays.
-    The flat output gains `axes` trailing unit axes; a constant output is
+    The flat output gains `trailing` unit dimensions; a constant output is
     broadcast over the batch.
     """
-    expand = (slice(None),) + (None,) * axes
+    expand = (slice(None),) + (None,) * trailing
 
     def batch(x, out):
         out = np.asarray(out, dtype=float)
@@ -202,10 +203,10 @@ def scalar_model(
         dw_slow=1,
         dw_fast=1,
         slow_drift=_lift(_as_fn(b, 2)),
-        slow_diffusion=_lift(_as_fn(sigma, 2), axes=2),
+        slow_diffusion=_lift(_as_fn(sigma, 2), trailing=2),
         slow_jump=_lift(_as_fn(h1, 2), "xz"),
         fast_drift=_lift(_as_fn(f, 2)),
-        fast_diffusion=_lift(_as_fn(g, 2), axes=2),
+        fast_diffusion=_lift(_as_fn(g, 2), trailing=2),
         fast_jump=_lift(_as_fn(h2, 3), "xyz"),
         slow_measure=nu1 if nu1 is not None else default_jump_measure(),
         fast_measure=nu2 if nu2 is not None else default_jump_measure(),
@@ -322,9 +323,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
     def on_xyz(fn):
         return lambda x, y, z: fn({"x": x, "y": y, "z": z})
 
-    nu1 = JumpMeasureSpec.from_dict(cfg["nu1"]) if "nu1" in cfg else default_jump_measure()
-    nu2 = JumpMeasureSpec.from_dict(cfg["nu2"]) if "nu2" in cfg else default_jump_measure()
-    params = AssumptionParams(**cfg["params"]) if "params" in cfg else None
+    nu1, nu2 = (_measure_from_config(cfg, key) for key in ("nu1", "nu2"))
+    params = _params_from_config(cfg["params"]) if "params" in cfg else None
 
     sigma_flag = cfg.get("sigma_y_independent")
     if sigma_flag is None:
@@ -351,6 +351,30 @@ def model_from_config(cfg: dict) -> ModelSpec:
     )
     # keep the raw block so effective configs replay exactly
     return replace(spec, config=dict(cfg))
+
+
+def _measure_from_config(cfg: dict, key: str) -> JumpMeasureSpec:
+    """The jump measure a model config sets at `key`, or the default; a
+    refused block is named by its key."""
+    if key not in cfg:
+        return default_jump_measure()
+    try:
+        return JumpMeasureSpec.from_dict(cfg[key])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
+def _params_from_config(block) -> AssumptionParams:
+    """AssumptionParams from a config's `params` object: numbers under the
+    declared names only, every field without a default present."""
+    declared = fields(AssumptionParams)
+    _check_numbers("params", block, ())
+    unknown = sorted(set(block) - {f.name for f in declared})
+    if unknown:
+        raise ConfigurationError(f"unknown params keys: {unknown}")
+    _check_numbers("params", block, [f.name for f in declared
+                                     if f.default is MISSING or f.name in block])
+    return AssumptionParams(**block)
 
 
 def get_model(ref) -> ModelSpec:

@@ -10,7 +10,7 @@ The underlying bit generator is counter-based (Philox) keyed through
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -167,15 +167,33 @@ def _phi(x):
     return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2.0 * np.pi)
 
 
+_SIZE_FAMILIES = {"point_mass": PointMass, "uniform": Uniform,
+                  "truncated_gaussian": TruncatedGaussian}
+
+
+def _check_numbers(label: str, block, names):
+    """Refuse config object `block` (`label` in messages) unless it is a
+    mapping that holds a number under each of `names`."""
+    if not isinstance(block, dict):
+        raise ConfigurationError(f"{label} must be an object, not {block!r}")
+    for name in names:
+        if name not in block:
+            raise ConfigurationError(f"{label} lacks key {name!r}")
+        v = block[name]
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigurationError(
+                f"{label} key {name!r} must be a number, not {v!r}")
+
+
 def size_family_from_dict(d: dict):
+    _check_numbers("jump size", d, ())
     kind = d.get("kind")
-    if kind == "point_mass":
-        return PointMass(d["value"])
-    if kind == "uniform":
-        return Uniform(d["lo"], d["hi"])
-    if kind == "truncated_gaussian":
-        return TruncatedGaussian(d["mu"], d["sd"], d["bound"])
-    raise ConfigurationError(f"unknown jump size family {kind!r}")
+    family = _SIZE_FAMILIES.get(kind) if isinstance(kind, str) else None
+    if family is None:
+        raise ConfigurationError(f"unknown jump size family {kind!r}")
+    names = [f.name for f in fields(family)]
+    _check_numbers("jump size", d, names)
+    return family(*(d[n] for n in names))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +238,8 @@ class JumpMeasureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JumpMeasureSpec":
-        return cls(intensity=d["intensity"], size=size_family_from_dict(d["size"]))
+        _check_numbers("jump measure", d, ("intensity",))
+        return cls(intensity=d["intensity"], size=size_family_from_dict(d.get("size")))
 
 
 def _mark_affine(g, k: int):

@@ -106,6 +106,6 @@ def test_cli_builds_tables_through_the_patched_builder(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "example_2_8", "table": tb}))
     assert cli.run("avg-table", cfg, out_dir=tmp_path / "a") == 0
-    cli._get_table(model.example_2_8(), "example_2_8", tb, "clamp", 0,
+    cli._get_table(model.example_2_8(), "example_2_8", tb, 0,
                    tmp_path, rng.RngStream(0))
     assert built == [3, 3]

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mslevy import cli, ergodic
 from mslevy.cli import main, parse_config, run
 from mslevy.errors import ConfigurationError
 
@@ -105,6 +106,33 @@ class TestExitCodes:
         assert run("poisson-check", p, out_dir=out) == 2
         assert f"{key}: expected an integer >= 2" in (out / "error.log").read_text()
         assert all(b"NaN" not in data for data in read_all(out).values())
+
+
+    @pytest.mark.parametrize("block, reason", [
+        ({"params": {"bogus": 1}}, "unknown params keys: ['bogus']"),
+        ({"params": {"growth_exp": "a", "coercivity_exp": 2,
+                     "contraction_rate": 1, "dissipation_rate": 1}},
+         "params key 'growth_exp' must be a number, not 'a'"),
+        ({"nu1": {"size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}}},
+         "nu1: jump measure lacks key 'intensity'"),
+        ({"nu2": {"intensity": 1.0, "size": {"kind": "uniform", "lo": -0.5}}},
+         "nu2: jump size lacks key 'hi'"),
+        ({"nu1": [1, 2]}, "nu1: jump measure must be an object, not [1, 2]"),
+    ], ids=["params-unknown", "params-not-a-number", "nu1-no-intensity",
+            "nu2-size-no-hi", "nu1-not-an-object"])
+    def test_malformed_model_block_exit_2(self, tmp_path, block, reason):
+        p = write_cfg(tmp_path, {"model": {**JUMP_OU_CFG, **block}, "x": 0.0})
+        out = tmp_path / "out"
+        assert run("frozen-stats", p, out_dir=out) == 2
+        assert reason in (out / "error.log").read_text()
+
+
+def test_table_cache_key_holds_the_table_format_version(monkeypatch):
+    tb = {"box": [-1.0, 1.0], "nodes": 3}
+    key = cli._table_cache_key("example_2_8", tb, 0)
+    monkeypatch.setattr(ergodic, "_TABLE_FORMAT_VERSION",
+                        ergodic._TABLE_FORMAT_VERSION + 1)
+    assert cli._table_cache_key("example_2_8", tb, 0) != key
 
 
 class TestValidateModel:
@@ -225,7 +253,9 @@ class TestCommandsAndReplay:
                                  "semigroup_s": s, "endpoint_draws": 2})
         out = tmp_path / "out"
         assert run("poisson-check", p, out_dir=out) == 2
-        assert "error_code=2" in (out / "error.log").read_text()
+        log = (out / "error.log").read_text()
+        assert "error_code=2" in log
+        assert f"semigroup_s must be positive, not {s!r}" in log
 
     def test_avg_table_command(self, tmp_path):
         payload = {"model": dict(JUMP_OU_CFG), "seed": 51,
@@ -236,7 +266,7 @@ class TestCommandsAndReplay:
         assert run("avg-table", p, out_dir=out) == 0
         assert (out / "avg_table.csv").exists()
         header = json.loads((out / "avg_table.json").read_text())
-        assert header["format_version"] == 1
+        assert header["format_version"] == 2
 
     def test_main_entry_point(self, tmp_path, capsys):
         p = write_cfg(tmp_path, {"model": "example_2_8", "x": 0.0,

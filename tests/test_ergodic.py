@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestAveragedTable:
                               delta=2**-6, thin=8)
         table = build_averaged_table(m, (-2.0, 2.0), 9, cfg, RngStream(105))
         np.testing.assert_allclose(table.drift_values[:, 0],
-                                   -table.axes[0], atol=1e-12)
+                                   -table.grid, atol=1e-12)
         q = np.array([[0.37], [-1.21]])
         np.testing.assert_allclose(table.drift(q), -q, atol=1e-12)
         assert np.all(table.drift_ci > 0)
@@ -203,12 +204,11 @@ class TestAveragedTable:
         cfg = InvariantConfig(n_chains=4, burn_in=1.0, horizon=5.0,
                               delta=2**-6, thin=8)
         table = build_averaged_table(m, (-1.0, 1.0), 5, cfg, RngStream(106))
-        out = table.drift(np.array([[3.0]]))
+        out = table.drift(np.array([[3.0], [0.5]]))
         assert out[0, 0] == pytest.approx(table.drift_values[-1, 0])
-        assert table.clamp_count == 1
-        table.extrapolation = "error"
-        with pytest.raises(ConfigurationError):
-            table.drift(np.array([[3.0]]))
+        np.testing.assert_array_equal(table.outside, [True, False])
+        table.drift(np.array([[0.5]]))
+        assert table.outside is None
 
     def test_leave_node_out_refusal_on_curved_drift(self):
         m = scalar_model("cube", b=lambda x, y: x * x * x, sigma=1.0,
@@ -229,8 +229,21 @@ class TestAveragedTable:
         np.testing.assert_array_equal(back.drift_values, table.drift_values)
         np.testing.assert_array_equal(back.drift_ci, table.drift_ci)
         np.testing.assert_array_equal(back.diff2_values, table.diff2_values)
-        np.testing.assert_array_equal(back.axes[0], table.axes[0])
+        np.testing.assert_array_equal(back.grid, table.grid)
         assert back.meta == table.meta
+
+    def test_load_refuses_another_format_version(self, tmp_path):
+        grid = np.linspace(-1.0, 1.0, 3)
+        table = AveragedTable(
+            grid=grid, drift_values=np.zeros((3, 1)), drift_ci=np.zeros((3, 1)),
+            diff2_values=np.ones((3, 1, 1)), diff2_ci=np.zeros((3, 1, 1)))
+        csv, meta = tmp_path / "t.csv", tmp_path / "t.json"
+        save_averaged_table(table, csv, meta)
+        header = json.loads(meta.read_text())
+        header["format_version"] = 1
+        meta.write_text(json.dumps(header))
+        with pytest.raises(ConfigurationError, match="format version 1"):
+            load_averaged_table(csv, meta)
 
     @pytest.mark.parametrize("chains, nodes, floats, widths", [
         (3000, 5, None, [6000, 6000, 3000]),
@@ -261,7 +274,7 @@ class TestAveragedTable:
         per_run = max(1, ergodic._GROUP_PATHS // chains)
         assert runs == [chains * min(per_run, nodes - k)
                         for k in range(0, nodes, per_run)]
-        for i, x in enumerate(table.axes[0]):
+        for i, x in enumerate(table.grid):
             inv = estimate_invariant_measure(
                 m, x, burn_in=cfg.burn_in, horizon=cfg.horizon,
                 n_chains=chains, delta=cfg.delta, thin=cfg.thin, y0=cfg.y0,
@@ -291,7 +304,7 @@ class TestAveragedTable:
         diff2 = np.tile(np.eye(1) * 2.0, (5, 1, 1))
         diff2[2] = [[4.0]]
         table = AveragedTable(
-            axes=(grid,), drift_values=np.zeros((5, 1)),
+            grid=grid, drift_values=np.zeros((5, 1)),
             drift_ci=np.full((5, 1), 1e-3), diff2_values=diff2,
             diff2_ci=np.full((5, 1, 1), 1e-3),
         )
@@ -309,7 +322,7 @@ class TestAveragedTable:
             text = "\n".join(format(v, ".17g") for v in grid)
             grid = np.loadtxt(io.StringIO(text), ndmin=1)
         table = AveragedTable(
-            axes=(grid,), drift_values=np.zeros((nodes, 1)),
+            grid=grid, drift_values=np.zeros((nodes, 1)),
             drift_ci=np.zeros((nodes, 1)), diff2_values=np.ones((nodes, 1, 1)),
             diff2_ci=np.zeros((nodes, 1, 1)))
         q = np.concatenate([grid, np.nextafter(grid, -np.inf),
@@ -321,14 +334,15 @@ class TestAveragedTable:
         np.testing.assert_array_equal(idx, want)
         np.testing.assert_array_equal(
             w, (qc - grid[want]) / (grid[want + 1] - grid[want]))
-        assert table.clamp_count == int(np.sum((q < grid[0]) | (q > grid[-1])))
+        np.testing.assert_array_equal(table.outside,
+                                      (q < grid[0]) | (q > grid[-1]))
 
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.3, 1.0], [0.0, 1.0, 0.5],
                                       [0.0], [0.0, 0.5, 1.0 + 1e-2]])
     def test_non_uniform_axis_rejected(self, grid):
         n = len(grid)
         with pytest.raises(ConfigurationError, match="table axis"):
-            AveragedTable(axes=(np.asarray(grid),), drift_values=np.zeros((n, 1)),
+            AveragedTable(grid=np.asarray(grid), drift_values=np.zeros((n, 1)),
                           drift_ci=np.zeros((n, 1)),
                           diff2_values=np.ones((n, 1, 1)),
                           diff2_ci=np.zeros((n, 1, 1)))

@@ -215,7 +215,7 @@ class TestWeakError:
 def _clamping_table():
     """-x on [-0.5, 0.5]: slow paths from x0 = 0.4 leave the box."""
     grid = np.linspace(-0.5, 0.5, 5)
-    return AveragedTable(axes=(grid,), drift_values=-grid[:, None],
+    return AveragedTable(grid=grid, drift_values=-grid[:, None],
                          drift_ci=np.zeros((5, 1)), diff2_values=np.ones((5, 1, 1)),
                          diff2_ci=np.zeros((5, 1, 1)))
 
@@ -233,7 +233,6 @@ class TestPairSweep:
         kw = dict(eps=eps, t_end=0.5, n_paths=24, x0=0.4, y0=0.0, n_boot=20,
                   delta_policy=policy, stream=RngStream(410))
         table = _clamping_table()
-        table.drift(np.array([[2.0]]))      # one clamp before the sweep
         if kind == "strong":
             rep = strong_error(m, table, **kw)
             cps = ()
@@ -241,17 +240,52 @@ class TestPairSweep:
             rep = weak_error(m, table, make_test_function("identity"), **kw)
             cps = tuple(rep.meta["checkpoints"])
         alone = _clamping_table()
-        alone.drift(np.array([[2.0]]))
-        running = []
+        running = [0]
         for j, e in enumerate(eps):
             cfg = mslevy.integrate.StepperConfig(
                 epsilon=e, delta=policy.delta_for(e, eps[-1]), t_end=0.5)
-            mslevy.integrate.run_pair_batch(m, alone, 0.4, 0.0, cfg, 24,
-                                            RngStream(410).child(f"{kind}:{j}"),
-                                            checkpoints=cps)
-            running.append(alone.clamp_count)
+            out = mslevy.integrate.run_pair_batch(
+                m, alone, 0.4, 0.0, cfg, 24, RngStream(410).child(f"{kind}:{j}"),
+                checkpoints=cps)
+            running.append(running[-1] + int(out["clamped"][0]))
+        running = running[1:]
         assert rep.meta["clamped"] == running
         assert running[0] > 1 and running[1] > running[0]
+
+    @pytest.mark.parametrize("kind", ["strong", "weak"])
+    def test_clamp_counts_do_not_depend_on_the_table_history(self, kind):
+        m = scalar_model("clamps", b=lambda x, y: -x + y, sigma=0.6,
+                         f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
+        kw = dict(eps=[2**-2, 2**-3, 2**-4], t_end=0.5, n_paths=24, x0=0.4,
+                  y0=0.0, n_boot=20, stream=RngStream(410),
+                  delta_policy=DeltaPolicy(mode="scaled", fast_exp=4))
+        table = _clamping_table()
+        if kind == "strong":
+            reps = [strong_error(m, table, **kw) for _ in range(2)]
+        else:
+            phi = make_test_function("identity")
+            reps = [weak_error(m, table, phi, **kw) for _ in range(2)]
+        assert reps[0].meta["clamped"] == reps[1].meta["clamped"]
+        assert reps[0].meta["clamped"][0] > 0
+
+    def test_independent_clamps_are_the_running_sum_of_the_level_runs(self):
+        m = scalar_model("clamps", b=lambda x, y: -x + y, sigma=0.6,
+                         f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
+        eps = [2**-2, 2**-3, 2**-4]
+        policy = DeltaPolicy(mode="scaled", fast_exp=4)
+        table = _clamping_table()
+        rep = weak_error(m, table, make_test_function("identity"), eps=eps,
+                         t_end=0.5, n_paths=24, mode="independent", x0=0.4,
+                         y0=0.0, delta_policy=policy, stream=RngStream(410))
+        running = [0]
+        for j, e in enumerate(eps):
+            cfg = mslevy.integrate.StepperConfig(
+                epsilon=e, delta=policy.delta_for(e, eps[-1]), t_end=0.5)
+            out = mslevy.integrate.run_averaged_batch(
+                m, table, 0.4, cfg, 24, RngStream(410).child(f"weak-avg:{j}"))
+            running.append(running[-1] + int(out["clamped"].sum()))
+        assert rep.meta["clamped"] == running[1:]
+        assert running[1] > 0
 
     @pytest.mark.parametrize("kind", ["strong", "weak"])
     def test_blow_up_aborts_the_sweep_and_names_its_level(self, kind):

@@ -511,7 +511,7 @@ class TestStreamBlocks:
             sigma_y_independent=True)
         grid = np.linspace(-0.5, 1.5, 9)
         table = AveragedTable(
-            axes=(grid,), drift_values=-grid[:, None], drift_ci=np.zeros((9, 1)),
+            grid=grid, drift_values=-grid[:, None], drift_ci=np.zeros((9, 1)),
             diff2_values=np.ones((9, 1, 1)), diff2_ci=np.zeros((9, 1, 1)))
         eps = [2**-2, 3 * 2**-5, 2**-3, 2**-4] if odd else [2**-2, 2**-3, 2**-4]
         policy = DeltaPolicy(mode=mode, fast_exp=4)
