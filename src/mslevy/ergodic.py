@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import BlowUpError, ConfigurationError, DecayFitError, TableValidationError
 from .estimate import _line_fit
@@ -131,7 +131,7 @@ class InvariantSample:
         counts = np.bincount(self.batch_index, minlength=self.n_batches)
         bounds = np.searchsorted(self.batch_index, np.arange(self.n_batches))
         bm = np.add.reduceat(flat, bounds, axis=0) / counts[:, None]
-        tcrit = stats.t.ppf(0.975, self.n_batches - 1)
+        tcrit = special.stdtrit(self.n_batches - 1, 0.975)
         ci = tcrit * bm.std(axis=0, ddof=1) / np.sqrt(self.n_batches)
         ci = np.maximum(ci, 4 * np.finfo(float).eps * (1.0 + np.abs(mean)))
         shape = values.shape[1:]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import integrate as _integrate
 from .errors import BlowUpError, ConfigurationError
@@ -377,7 +377,7 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
             else:
                 se = np.sqrt(pa.var(axis=1, ddof=1) / n_paths
                              + pb.var(axis=1, ddof=1) / n_paths)
-                z = stats.norm.ppf(0.5 + confidence / 2.0)
+                z = special.ndtri(0.5 + confidence / 2.0)
                 halves.append(float(z * se[int(np.argmax(np.abs(gaps)))]))
                 errors.append(err)
             clamped += int(avg_out["clamped"].sum())

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .expressions import compile_expression
-from .rng import (JumpMeasureSpec, RngStream, _check_numbers, _mark_affine,
-                  default_jump_measure)
+from .rng import (JumpMeasureSpec, RngStream, _check_keys, _check_numbers,
+                  _mark_affine, default_jump_measure)
 
 __all__ = [
     "AssumptionParams",
@@ -292,14 +292,12 @@ def model_from_config(cfg: dict) -> ModelSpec:
 
     Expected keys: b, sigma, f, g (variables x, y), h1 (x, z),
     h2 (x, y, z), optional nu1/nu2 measure dicts, optional params dict,
-    optional name and sigma_y_independent. Expressions use the arithmetic
+    optional name and sigma_y_independent (true or false; probed from
+    sigma when absent). Expressions use the arithmetic
     grammar (+, -, *, /, pow, sin, cos, arctan, exp, abs).
     """
-    known = {"name", "b", "sigma", "f", "g", "h1", "h2", "nu1", "nu2",
-             "params", "sigma_y_independent"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigurationError(f"unknown model keys: {sorted(unknown)}")
+    _check_keys("model", cfg, ("name", "b", "sigma", "f", "g", "h1", "h2",
+                               "nu1", "nu2", "params", "sigma_y_independent"))
     for key in ("b", "sigma", "f", "g"):
         if key not in cfg:
             raise ConfigurationError(f"custom model is missing coefficient {key!r}")
@@ -326,8 +324,12 @@ def model_from_config(cfg: dict) -> ModelSpec:
     nu1, nu2 = (_measure_from_config(cfg, key) for key in ("nu1", "nu2"))
     params = _params_from_config(cfg["params"]) if "params" in cfg else None
 
-    sigma_flag = cfg.get("sigma_y_independent")
-    if sigma_flag is None:
+    if "sigma_y_independent" in cfg:
+        sigma_flag = cfg["sigma_y_independent"]
+        if not isinstance(sigma_flag, bool):
+            raise ConfigurationError("model key 'sigma_y_independent' must be "
+                                     f"true or false, not {sigma_flag!r}")
+    else:
         # probe: exact equality across fast-state resamples
         gen = np.random.Generator(np.random.Philox(_PROBE_SEED + 1))
         xs = gen.uniform(-4, 4, 1000)
@@ -368,10 +370,7 @@ def _params_from_config(block) -> AssumptionParams:
     """AssumptionParams from a config's `params` object: numbers under the
     declared names only, every field without a default present."""
     declared = fields(AssumptionParams)
-    _check_numbers("params", block, ())
-    unknown = sorted(set(block) - {f.name for f in declared})
-    if unknown:
-        raise ConfigurationError(f"unknown params keys: {unknown}")
+    _check_keys("params", block, [f.name for f in declared])
     _check_numbers("params", block, [f.name for f in declared
                                      if f.default is MISSING or f.name in block])
     return AssumptionParams(**block)

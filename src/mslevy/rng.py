@@ -185,6 +185,15 @@ def _check_numbers(label: str, block, names):
                 f"{label} key {name!r} must be a number, not {v!r}")
 
 
+def _check_keys(label: str, block, allowed):
+    """Refuse config object `block` (`label` in messages) unless it is a
+    mapping whose keys all lie in `allowed`; the error names the others."""
+    _check_numbers(label, block, ())
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigurationError(f"unknown {label} keys: {unknown}")
+
+
 def size_family_from_dict(d: dict):
     _check_numbers("jump size", d, ())
     kind = d.get("kind")
@@ -192,6 +201,7 @@ def size_family_from_dict(d: dict):
     if family is None:
         raise ConfigurationError(f"unknown jump size family {kind!r}")
     names = [f.name for f in fields(family)]
+    _check_keys("jump size", d, ["kind", *names])
     _check_numbers("jump size", d, names)
     return family(*(d[n] for n in names))
 
@@ -238,6 +248,7 @@ class JumpMeasureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JumpMeasureSpec":
+        _check_keys("jump measure", d, ("intensity", "size"))
         _check_numbers("jump measure", d, ("intensity",))
         return cls(intensity=d["intensity"], size=size_family_from_dict(d.get("size")))
 

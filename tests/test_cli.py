@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,13 +121,37 @@ class TestExitCodes:
         ({"nu2": {"intensity": 1.0, "size": {"kind": "uniform", "lo": -0.5}}},
          "nu2: jump size lacks key 'hi'"),
         ({"nu1": [1, 2]}, "nu1: jump measure must be an object, not [1, 2]"),
+        ({"nu1": {"intensity": 1.0, "intensty": 5,
+                  "size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}}},
+         "nu1: unknown jump measure keys: ['intensty']"),
+        ({"nu2": {"intensity": 1.0, "size": {"kind": "uniform", "lo": -0.5,
+                                             "hi": 0.5, "mu": 3}}},
+         "nu2: unknown jump size keys: ['mu']"),
+        ({"sigma_y_independent": "no"},
+         "model key 'sigma_y_independent' must be true or false, not 'no'"),
+        ({"sigma_y_independent": None},
+         "model key 'sigma_y_independent' must be true or false, not None"),
     ], ids=["params-unknown", "params-not-a-number", "nu1-no-intensity",
-            "nu2-size-no-hi", "nu1-not-an-object"])
+            "nu2-size-no-hi", "nu1-not-an-object", "nu1-unknown-key",
+            "nu2-size-unknown-key", "sigma-flag-string", "sigma-flag-null"])
     def test_malformed_model_block_exit_2(self, tmp_path, block, reason):
         p = write_cfg(tmp_path, {"model": {**JUMP_OU_CFG, **block}, "x": 0.0})
         out = tmp_path / "out"
         assert run("frozen-stats", p, out_dir=out) == 2
         assert reason in (out / "error.log").read_text()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the heavy SciPy subpackages cost most of a short run's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse",
+             "scipy.spatial", "scipy.ndimage"]
+    code = ("import sys, mslevy.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_table_cache_key_holds_the_table_format_version(monkeypatch):

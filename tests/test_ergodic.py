@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sciint
+from scipy import special, stats
 
 from mslevy import ergodic
 from mslevy.errors import (
@@ -51,6 +52,16 @@ def invariant(model, x=0.0, horizon=300.0, chains=64, stream_id=0, **kw):
     return estimate_invariant_measure(
         model, x, burn_in=8.0, horizon=horizon, n_chains=chains,
         delta=2**-8, thin=8, stream=RngStream(100, stream_id), **kw)
+
+
+def test_special_quantiles_equal_scipy_stats():
+    # mean_ci and weak_error take their quantiles from scipy.special;
+    # on the installed SciPy they are the scipy.stats values bit for bit
+    df = np.arange(1, 5000)
+    assert np.array_equal(special.stdtrit(df, 0.975), stats.t.ppf(0.975, df))
+    conf = np.linspace(0.0, 1.0, 20003)[1:-1]
+    q = 0.5 + conf / 2.0
+    assert np.array_equal(special.ndtri(q), stats.norm.ppf(q))
 
 
 class TestInvariantMeasure:
