@@ -38,6 +38,8 @@ from .model import (
     get_model,
 )
 from .rng import RngStream
+from .schema import (apply_schema, block, integer, mapping, maybe, num, num_list,
+                     pair, string)
 
 __all__ = ["main", "run", "parse_config", "RunConfig", "COMMANDS"]
 
@@ -46,190 +48,118 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _num(key):
-    def check(v):
-        if not _is_num(v):
-            raise ConfigurationError(f"{key}: expected a number, got {v!r}")
-        return float(v)
-    return check
-
-
-def _int(key, minimum=1):
-    def check(v):
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise ConfigurationError(f"{key}: expected an integer >= {minimum}")
-        return int(v)
-    return check
-
-
-def _num_list(key, min_len=1):
-    def check(v):
-        if (not isinstance(v, list) or len(v) < min_len
-                or not all(_is_num(u) for u in v)):
-            raise ConfigurationError(
-                f"{key}: expected a list of >= {min_len} numbers"
-            )
-        return [float(u) for u in v]
-    return check
-
-
-def _pair(key):
-    def check(v):
-        if not isinstance(v, list) or len(v) != 2 or not all(_is_num(u) for u in v):
-            raise ConfigurationError(f"{key}: expected [lo, hi]")
-        return [float(v[0]), float(v[1])]
-    return check
-
-
-def _str(key, choices=None):
-    def check(v):
-        if not isinstance(v, str) or (choices and v not in choices):
-            raise ConfigurationError(
-                f"{key}: expected one of {choices}" if choices
-                else f"{key}: expected a string"
-            )
-        return v
-    return check
-
-
-def _maybe(checker):
-    def check(v):
-        return None if v is None else checker(v)
-    return check
-
-
-def _block(key, schema):
-    def check(v):
-        if not isinstance(v, dict):
-            raise ConfigurationError(f"{key}: expected a mapping")
-        return _apply_schema(v, schema, prefix=key + ".")
-    return check
-
-
-def _apply_schema(raw: dict, schema: dict, prefix: str = "") -> dict:
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown config key(s): {sorted(prefix + k for k in unknown)}"
-        )
-    out = {}
-    missing = []
-    for key, (required, default, checker) in schema.items():
-        if key in raw:
-            out[key] = checker(raw[key])
-        elif required:
-            missing.append(prefix + key)
-        else:
-            out[key] = default
-    if missing:
-        raise ConfigurationError(f"missing required config key(s): {missing}")
-    return out
-
-
 _TABLE_BLOCK = {
-    "box": (True, None, _pair("table.box")),
-    "nodes": (True, None, _int("table.nodes", 2)),
-    "chains": (False, 8, _int("table.chains")),
-    "burn_in": (False, None, _maybe(_num("table.burn_in"))),
-    "horizon": (False, None, _maybe(_num("table.horizon"))),
-    "delta": (False, 2.0**-8, _num("table.delta")),
-    "thin": (False, 8, _int("table.thin")),
-    "y0": (False, 0.0, _num("table.y0")),
+    "box": (True, None, pair),
+    "nodes": (True, None, integer(2)),
+    "chains": (False, 8, integer()),
+    "burn_in": (False, None, maybe(num)),
+    "horizon": (False, None, maybe(num)),
+    "delta": (False, 2.0**-8, num),
+    "thin": (False, 8, integer()),
+    "y0": (False, 0.0, num),
 }
 
 _POLICY_BLOCK = {
-    "mode": (False, "global", _str("delta_policy.mode", ("global", "scaled"))),
-    "fast_exp": (False, 6, _int("delta_policy.fast_exp", 1)),
+    "mode": (False, "global", string(("global", "scaled"))),
+    "fast_exp": (False, 6, integer(1)),
 }
 
 _SCHEMAS: dict[str, dict] = {
     "validate-model": {
-        "probes": (False, 2000, _int("probes")),
-        "box": (False, 5.0, _num("box")),
+        "probes": (False, 2000, integer()),
+        "box": (False, 5.0, num),
     },
     "frozen-stats": {
-        "x": (True, None, _num("x")),
-        "chains": (False, 8, _int("chains")),
-        "burn_in": (False, 5.0, _num("burn_in")),
-        "horizon": (False, 100.0, _num("horizon")),
-        "delta": (False, 2.0**-8, _num("delta")),
-        "thin": (False, 8, _int("thin")),
-        "y0": (False, 0.0, _num("y0")),
+        "x": (True, None, num),
+        "chains": (False, 8, integer()),
+        "burn_in": (False, 5.0, num),
+        "horizon": (False, 100.0, num),
+        "delta": (False, 2.0**-8, num),
+        "thin": (False, 8, integer()),
+        "y0": (False, 0.0, num),
     },
     "avg-table": {
-        "table": (True, None, _block("table", _TABLE_BLOCK)),
+        "table": (True, None, block(_TABLE_BLOCK)),
     },
     "poisson-check": {
-        "x": (True, None, _num("x")),
-        "y": (True, None, _num("y")),
-        "t_cut": (True, None, _num("t_cut")),
-        "n_traj": (False, 4096, _int("n_traj", 2)),
-        "delta": (False, 2.0**-8, _num("delta")),
-        "chains": (False, 32, _int("chains")),
-        "burn_in": (False, 5.0, _num("burn_in")),
-        "horizon": (False, 100.0, _num("horizon")),
-        "semigroup_s": (False, None, _maybe(_num("semigroup_s"))),
-        "endpoint_draws": (False, 32, _int("endpoint_draws", 2)),
+        "x": (True, None, num),
+        "y": (True, None, num),
+        "t_cut": (True, None, num),
+        "n_traj": (False, 4096, integer(2)),
+        "delta": (False, 2.0**-8, num),
+        "chains": (False, 32, integer()),
+        "burn_in": (False, 5.0, num),
+        "horizon": (False, 100.0, num),
+        "semigroup_s": (False, None, maybe(num)),
+        "endpoint_draws": (False, 32, integer(2)),
     },
     "ergodicity": {
-        "x": (True, None, _num("x")),
-        "y1": (True, None, _num("y1")),
-        "y2": (True, None, _num("y2")),
-        "t_end": (False, 2.0, _num("t_end")),
-        "n_times": (False, 16, _int("n_times", 3)),
-        "n_pairs": (False, 1000, _int("n_pairs")),
-        "delta": (False, 2.0**-8, _num("delta")),
-        "gamma_min": (False, None, _maybe(_num("gamma_min"))),
-        "r2_min": (False, None, _maybe(_num("r2_min"))),
+        "x": (True, None, num),
+        "y1": (True, None, num),
+        "y2": (True, None, num),
+        "t_end": (False, 2.0, num),
+        "n_times": (False, 16, integer(3)),
+        "n_pairs": (False, 1000, integer()),
+        "delta": (False, 2.0**-8, num),
+        "gamma_min": (False, None, maybe(num)),
+        "r2_min": (False, None, maybe(num)),
     },
     "strong-order": {
-        "epsilon": (True, None, _num_list("epsilon", 3)),
-        "p": (False, 2.0, _num("p")),
-        "t_end": (False, 1.0, _num("t_end")),
-        "n_paths": (False, 1000, _int("n_paths", 2)),
-        "x0": (False, 1.0, _num("x0")),
-        "y0": (False, 1.0, _num("y0")),
-        "delta_policy": (False, _apply_schema({}, _POLICY_BLOCK),
-                         _block("delta_policy", _POLICY_BLOCK)),
-        "table": (True, None, _block("table", _TABLE_BLOCK)),
-        "bootstrap": (False, 1000, _int("bootstrap", 10)),
-        "confidence": (False, 0.95, _num("confidence")),
-        "slope_window": (False, [0.35, 0.65], _pair("slope_window")),
-        "r2_min": (False, 0.9, _num("r2_min")),
+        "epsilon": (True, None, num_list(3)),
+        "p": (False, 2.0, num),
+        "t_end": (False, 1.0, num),
+        "n_paths": (False, 1000, integer(2)),
+        "x0": (False, 1.0, num),
+        "y0": (False, 1.0, num),
+        "delta_policy": (False, apply_schema({}, _POLICY_BLOCK),
+                         block(_POLICY_BLOCK)),
+        "table": (True, None, block(_TABLE_BLOCK)),
+        "bootstrap": (False, 1000, integer(10)),
+        "confidence": (False, 0.95, num),
+        "slope_window": (False, [0.35, 0.65], pair),
+        "r2_min": (False, 0.9, num),
     },
     "weak-order": {
-        "epsilon": (True, None, _num_list("epsilon", 3)),
-        "phi": (False, "x_squared", _str("phi")),
+        "epsilon": (True, None, num_list(3)),
+        "phi": (False, "x_squared", string()),
         "mode": (False, "coupled_difference",
-                 _str("mode", ("coupled_difference", "independent"))),
-        "t_end": (False, 1.0, _num("t_end")),
-        "n_paths": (False, None, _maybe(_int("n_paths", 2))),
-        "x0": (False, 0.5, _num("x0")),
-        "y0": (False, 0.5, _num("y0")),
-        "delta_policy": (False, _apply_schema({}, _POLICY_BLOCK),
-                         _block("delta_policy", _POLICY_BLOCK)),
-        "table": (True, None, _block("table", _TABLE_BLOCK)),
-        "bootstrap": (False, 1000, _int("bootstrap", 10)),
-        "confidence": (False, 0.95, _num("confidence")),
-        "slope_window": (False, [0.75, 1.25], _pair("slope_window")),
-        "r2_min": (False, 0.85, _num("r2_min")),
+                 string(("coupled_difference", "independent"))),
+        "t_end": (False, 1.0, num),
+        "n_paths": (False, None, maybe(integer(2))),
+        "x0": (False, 0.5, num),
+        "y0": (False, 0.5, num),
+        "delta_policy": (False, apply_schema({}, _POLICY_BLOCK),
+                         block(_POLICY_BLOCK)),
+        "table": (True, None, block(_TABLE_BLOCK)),
+        "bootstrap": (False, 1000, integer(10)),
+        "confidence": (False, 0.95, num),
+        "slope_window": (False, [0.75, 1.25], pair),
+        "r2_min": (False, 0.85, num),
     },
     "fast-moments": {
-        "epsilon": (True, None, _num_list("epsilon", 3)),
-        "p": (False, 4.0, _num("p")),
-        "t_end": (False, 1.0, _num("t_end")),
-        "n_paths": (False, 4096, _int("n_paths", 2)),
-        "x0": (False, 1.0, _num("x0")),
-        "y0": (False, 1.0, _num("y0")),
-        "fast_exp": (False, 6, _int("fast_exp", 1)),
+        "epsilon": (True, None, num_list(3)),
+        "p": (False, 4.0, num),
+        "t_end": (False, 1.0, num),
+        "n_paths": (False, 4096, integer(2)),
+        "x0": (False, 1.0, num),
+        "y0": (False, 1.0, num),
+        "fast_exp": (False, 6, integer(1)),
     },
 }
 
 COMMANDS = tuple(_SCHEMAS)
+
+
+def _model_ref(v, path):
+    get_model(v)  # validates the reference and probes expressions
+    return v
+
+
+# the keys every command takes, after its own
+_RUN_KEYS = {
+    "model": (True, None, _model_ref),
+    "seed": (False, 0, integer(0)),
+}
 
 
 class RunConfig:
@@ -261,31 +191,16 @@ def parse_config(path, command: str | None = None,
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed JSON in {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    raw = dict(raw)
-    cfg_command = raw.pop("command", None)
-    command = command or cfg_command
-    if command is None:
-        raise ConfigurationError("no command given (CLI argument or 'command' key)")
-    if command not in _SCHEMAS:
-        raise ConfigurationError(
-            f"unknown command {command!r}; expected one of {sorted(_SCHEMAS)}"
-        )
-    if cfg_command is not None and cfg_command != command:
+    cfg_command = mapping(raw, "config root").pop("command", None)
+    command = string(COMMANDS)(command or cfg_command, "command")
+    if cfg_command not in (None, command):
         raise ConfigurationError(
             f"config was written for {cfg_command!r}, not {command!r}"
         )
-    model_ref = raw.pop("model", None)
-    if model_ref is None:
-        raise ConfigurationError("missing required config key(s): ['model']")
-    seed = raw.pop("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigurationError("seed: expected an integer")
+    options = apply_schema(raw, {**_SCHEMAS[command], **_RUN_KEYS})
+    model_ref, seed = options.pop("model"), options.pop("seed")
     if seed_override is not None:
         seed = int(seed_override)
-    options = _apply_schema(raw, _SCHEMAS[command])
-    get_model(model_ref)  # validates the reference and probes expressions
     return RunConfig(command, model_ref, seed, options)
 
 

@@ -204,16 +204,24 @@ def _invariant_samples(model, xs, cfg: InvariantConfig, streams, *, where):
     A blow-up names its node as `where` (formatted with i=node) and x.
     """
     chains, burn_in, horizon = cfg.n_chains, cfg.burn_in, cfg.horizon
-    if burn_in < 0 or horizon <= 0:
-        raise ConfigurationError("burn_in must be >= 0 and horizon > 0")
+    if burn_in < 0 or horizon <= 0 or cfg.delta <= 0:
+        raise ConfigurationError("burn_in must be >= 0, and horizon and delta > 0")
+    burn_steps, thin = int(round(burn_in / cfg.delta)), max(1, cfg.thin)
+    # the states ThinCollector keeps: steps burn_steps, +thin, ... of the run
+    kept = max(0, -((burn_steps - _n_steps(burn_in + horizon, cfg.delta)) // thin))
+    per_chain = -(-_N_BATCHES // chains)
+    if kept < per_chain:
+        raise ConfigurationError(
+            f"horizon {horizon!r} at delta {cfg.delta!r} and thin {cfg.thin} "
+            f"keeps {kept} states per chain, but {chains} chains need "
+            f"{per_chain} each for {_N_BATCHES} batch means")
     starts = np.stack([np.broadcast_to(np.asarray(x, dtype=float), (model.dim_slow,))
                        for x in xs])
-    kept = int(round(horizon / cfg.delta)) // max(1, cfg.thin) + 1
     per_group = max(1, min(_GROUP_PATHS // chains,
                            _GROUP_FLOATS // (chains * kept * model.dim_fast)))
     for first in range(0, len(starts), per_group):
         members = range(first, min(len(starts), first + per_group))
-        collector = ThinCollector("y", int(round(burn_in / cfg.delta)), cfg.thin)
+        collector = ThinCollector("y", burn_steps, thin)
         try:
             run_frozen_batch(
                 model, np.repeat(starts[first:members.stop], chains, axis=0),
@@ -226,7 +234,8 @@ def _invariant_samples(model, xs, cfg: InvariantConfig, streams, *, where):
             raise _relabel(exc, where.format(i=i), "x", starts[i]) from exc
         for j, i in enumerate(members):
             yield _invariant_sample(
-                xs[i], collector.stacked(slice(j * chains, (j + 1) * chains)))
+                xs[i], collector.stacked(slice(j * chains, (j + 1) * chains)),
+                per_chain)
 
 
 def _relabel(exc: BlowUpError, label: str, name: str, start) -> BlowUpError:
@@ -237,14 +246,14 @@ def _relabel(exc: BlowUpError, label: str, name: str, start) -> BlowUpError:
     return BlowUpError(exc.time, exc.paths, where=f"{label} ({name}={v!r})")
 
 
-def _invariant_sample(x, stacked: np.ndarray) -> InvariantSample:
+def _invariant_sample(x, stacked: np.ndarray, per_chain: int) -> InvariantSample:
     """Pool the thinned post-burn-in states (kept, chains, m) of the
-    chains at slow state x, with batch indices and the ESS of |y|^2."""
+    chains at slow state x, with `per_chain` batches per chain for the
+    batch indices, and the ESS of |y|^2."""
     kept, chains, m = stacked.shape
     series = np.transpose(stacked, (1, 0, 2))          # (chains, kept, m)
     samples = series.reshape(chains * kept, m)
 
-    per_chain = max(1, int(np.ceil(_N_BATCHES / chains)))
     n_batches_eff = per_chain * chains
     block = (np.arange(kept) * per_chain) // kept      # (kept,)
     batch_index = (np.arange(chains)[:, None] * per_chain + block[None, :]).reshape(-1)

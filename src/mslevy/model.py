@@ -19,15 +19,15 @@ counterexample witness whenever a probe violates the declared bound.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .expressions import compile_expression
-from .rng import (JumpMeasureSpec, RngStream, _check_keys, _check_numbers,
-                  _mark_affine, default_jump_measure)
+from .rng import JumpMeasureSpec, RngStream, _mark_affine, default_jump_measure
+from .schema import apply_schema, boolean, dataclass_of, string
 
 __all__ = [
     "AssumptionParams",
@@ -287,6 +287,24 @@ BUILTIN_MODELS = {
 }
 
 
+_COEFFICIENT_VARIABLES = {"b": ("x", "y"), "sigma": ("x", "y"), "f": ("x", "y"),
+                          "g": ("x", "y"), "h1": ("x", "z"), "h2": ("x", "y", "z")}
+
+_MODEL_SCHEMA = {
+    "name": (False, "custom", string()),
+    "b": (True, None, string()),
+    "sigma": (True, None, string()),
+    "f": (True, None, string()),
+    "g": (True, None, string()),
+    "h1": (False, "z", string()),
+    "h2": (False, "z", string()),
+    "nu1": (False, None, JumpMeasureSpec.from_dict),
+    "nu2": (False, None, JumpMeasureSpec.from_dict),
+    "params": (False, None, dataclass_of(AssumptionParams)),
+    "sigma_y_independent": (False, None, boolean),
+}
+
+
 def model_from_config(cfg: dict) -> ModelSpec:
     """Build a scalar model from expression-valued coefficients.
 
@@ -296,20 +314,10 @@ def model_from_config(cfg: dict) -> ModelSpec:
     sigma when absent). Expressions use the arithmetic
     grammar (+, -, *, /, pow, sin, cos, arctan, exp, abs).
     """
-    _check_keys("model", cfg, ("name", "b", "sigma", "f", "g", "h1", "h2",
-                               "nu1", "nu2", "params", "sigma_y_independent"))
-    for key in ("b", "sigma", "f", "g"):
-        if key not in cfg:
-            raise ConfigurationError(f"custom model is missing coefficient {key!r}")
-
-    exprs = {
-        "b": compile_expression(cfg["b"], ("x", "y")),
-        "sigma": compile_expression(cfg["sigma"], ("x", "y")),
-        "f": compile_expression(cfg["f"], ("x", "y")),
-        "g": compile_expression(cfg["g"], ("x", "y")),
-        "h1": compile_expression(cfg.get("h1", "z"), ("x", "z")),
-        "h2": compile_expression(cfg.get("h2", "z"), ("x", "y", "z")),
-    }
+    m = apply_schema(cfg, _MODEL_SCHEMA, "model")
+    exprs = {}
+    for key, variables in _COEFFICIENT_VARIABLES.items():
+        exprs[key] = compile_expression(m[key], variables)
 
     def on_xy(key):
         fn = exprs[key]
@@ -321,15 +329,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
     def on_xyz(fn):
         return lambda x, y, z: fn({"x": x, "y": y, "z": z})
 
-    nu1, nu2 = (_measure_from_config(cfg, key) for key in ("nu1", "nu2"))
-    params = _params_from_config(cfg["params"]) if "params" in cfg else None
-
-    if "sigma_y_independent" in cfg:
-        sigma_flag = cfg["sigma_y_independent"]
-        if not isinstance(sigma_flag, bool):
-            raise ConfigurationError("model key 'sigma_y_independent' must be "
-                                     f"true or false, not {sigma_flag!r}")
-    else:
+    sigma_flag = m["sigma_y_independent"]
+    if sigma_flag is None:
         # probe: exact equality across fast-state resamples
         gen = np.random.Generator(np.random.Philox(_PROBE_SEED + 1))
         xs = gen.uniform(-4, 4, 1000)
@@ -339,41 +340,20 @@ def model_from_config(cfg: dict) -> ModelSpec:
         sigma_flag = bool(np.array_equal(a, b))
 
     spec = scalar_model(
-        cfg.get("name", "custom"),
+        m["name"],
         b=on_xy("b"),
         sigma=on_xy("sigma"),
         f=on_xy("f"),
         g=on_xy("g"),
         h1=on_xz(exprs["h1"]),
         h2=on_xyz(exprs["h2"]),
-        nu1=nu1,
-        nu2=nu2,
+        nu1=m["nu1"],
+        nu2=m["nu2"],
         sigma_y_independent=sigma_flag,
-        params=params,
+        params=m["params"],
     )
     # keep the raw block so effective configs replay exactly
     return replace(spec, config=dict(cfg))
-
-
-def _measure_from_config(cfg: dict, key: str) -> JumpMeasureSpec:
-    """The jump measure a model config sets at `key`, or the default; a
-    refused block is named by its key."""
-    if key not in cfg:
-        return default_jump_measure()
-    try:
-        return JumpMeasureSpec.from_dict(cfg[key])
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{key}: {exc}") from None
-
-
-def _params_from_config(block) -> AssumptionParams:
-    """AssumptionParams from a config's `params` object: numbers under the
-    declared names only, every field without a default present."""
-    declared = fields(AssumptionParams)
-    _check_keys("params", block, [f.name for f in declared])
-    _check_numbers("params", block, [f.name for f in declared
-                                     if f.default is MISSING or f.name in block])
-    return AssumptionParams(**block)
 
 
 def get_model(ref) -> ModelSpec:
@@ -385,9 +365,7 @@ def get_model(ref) -> ModelSpec:
             raise ConfigurationError(
                 f"unknown model {ref!r}; built-ins: {sorted(BUILTIN_MODELS)}"
             ) from None
-    if isinstance(ref, dict):
-        return model_from_config(ref)
-    raise ConfigurationError("model reference must be a name or a config mapping")
+    return model_from_config(ref)
 
 
 # ---------------------------------------------------------------------------

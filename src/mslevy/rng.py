@@ -10,12 +10,13 @@ The underlying bit generator is counter-based (Philox) keyed through
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError
+from .schema import apply_schema, dataclass_of, finite, mapping, string
 
 __all__ = [
     "RngStream",
@@ -171,39 +172,12 @@ _SIZE_FAMILIES = {"point_mass": PointMass, "uniform": Uniform,
                   "truncated_gaussian": TruncatedGaussian}
 
 
-def _check_numbers(label: str, block, names):
-    """Refuse config object `block` (`label` in messages) unless it is a
-    mapping that holds a number under each of `names`."""
-    if not isinstance(block, dict):
-        raise ConfigurationError(f"{label} must be an object, not {block!r}")
-    for name in names:
-        if name not in block:
-            raise ConfigurationError(f"{label} lacks key {name!r}")
-        v = block[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigurationError(
-                f"{label} key {name!r} must be a number, not {v!r}")
-
-
-def _check_keys(label: str, block, allowed):
-    """Refuse config object `block` (`label` in messages) unless it is a
-    mapping whose keys all lie in `allowed`; the error names the others."""
-    _check_numbers(label, block, ())
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigurationError(f"unknown {label} keys: {unknown}")
-
-
-def size_family_from_dict(d: dict):
-    _check_numbers("jump size", d, ())
-    kind = d.get("kind")
-    family = _SIZE_FAMILIES.get(kind) if isinstance(kind, str) else None
-    if family is None:
-        raise ConfigurationError(f"unknown jump size family {kind!r}")
-    names = [f.name for f in fields(family)]
-    _check_keys("jump size", d, ["kind", *names])
-    _check_numbers("jump size", d, names)
-    return family(*(d[n] for n in names))
+def size_family_from_dict(d, path="size"):
+    """The jump size family of a config block {"kind": name, **fields};
+    errors name `path`."""
+    kind = string(tuple(_SIZE_FAMILIES))(mapping(d, path).get("kind"), f"{path}.kind")
+    values = {k: v for k, v in d.items() if k != "kind"}
+    return dataclass_of(_SIZE_FAMILIES[kind])(values, path)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +221,12 @@ class JumpMeasureSpec:
             raise ConfigurationError("second mark moment must be finite")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "JumpMeasureSpec":
-        _check_keys("jump measure", d, ("intensity", "size"))
-        _check_numbers("jump measure", d, ("intensity",))
-        return cls(intensity=d["intensity"], size=size_family_from_dict(d.get("size")))
+    def from_dict(cls, d, path="measure") -> "JumpMeasureSpec":
+        """The measure of a config block {"intensity": rate, "size": {...}};
+        errors name `path`."""
+        return cls(**apply_schema(d, {
+            "intensity": (True, None, finite),
+            "size": (True, None, size_family_from_dict)}, path))
 
 
 def _mark_affine(g, k: int):

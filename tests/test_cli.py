@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,17 +25,58 @@ def read_all(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+# the required keys of each command, with small budgets
+MINIMAL = {
+    "validate-model": {},
+    "frozen-stats": {"x": 0.0},
+    "avg-table": {"table": {"box": [-1, 1], "nodes": 3}},
+    "poisson-check": {"x": 0.0, "y": 1.0, "t_cut": 2.0},
+    "ergodicity": {"x": 0.0, "y1": 1.0, "y2": -1.0},
+    "strong-order": {"epsilon": [0.125, 0.0625, 0.03125],
+                     "table": {"box": [-3, 3], "nodes": 5}},
+    "weak-order": {"epsilon": [0.125, 0.0625, 0.03125],
+                   "table": {"box": [-3, 3], "nodes": 5}},
+    "fast-moments": {"epsilon": [0.125, 0.0625, 0.03125]},
+}
+BLOCKS = {"table": cli._TABLE_BLOCK, "delta_policy": cli._POLICY_BLOCK}
+
+
+def nan_configs(schema, block, prefix=""):
+    """(dotted path, block with NaN there) for each key of `schema` whose
+    value, given in `block` or defaulted, is not a string; a list gets NaN
+    as its first entry and a nested block NaN at each of its keys."""
+    for key, (_, default, _) in schema.items():
+        value = block.get(key, default)
+        if key in BLOCKS:
+            for path, sub in nan_configs(BLOCKS[key], value, f"{prefix}{key}."):
+                yield path, {**block, key: sub}
+        elif not isinstance(value, str):
+            bad = [math.nan, *value[1:]] if isinstance(value, list) else math.nan
+            yield prefix + key, {**block, key: bad}
+
+
 class TestParseConfig:
-    def test_round_trip_through_serialize(self, tmp_path):
-        payload = {"model": "example_2_7_linear", "seed": 9,
-                   "epsilon": [0.125, 0.0625, 0.03125],
-                   "table": {"box": [-3, 3], "nodes": 5}}
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_round_trip_through_serialize(self, tmp_path, command):
+        payload = {"model": "example_2_7_linear", "seed": 9, **MINIMAL[command]}
         p = write_cfg(tmp_path, payload)
-        cfg = parse_config(p, "strong-order")
-        assert cfg.options["epsilon"] == [0.125, 0.0625, 0.03125]
+        cfg = parse_config(p, command)
         p2 = write_cfg(tmp_path, cfg.to_dict(), "effective.json")
-        cfg2 = parse_config(p2, "strong-order")
+        cfg2 = parse_config(p2, command)
         assert cfg2.to_dict() == cfg.to_dict()
+        assert cfg.seed == 9 and set(cfg.options) == set(cli._SCHEMAS[command])
+        assert all(cfg.options[k] == v for k, v in MINIMAL[command].items()
+                   if k != "table")
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_nan_is_refused_by_its_dotted_path(self, tmp_path, command):
+        cases = list(nan_configs(cli._SCHEMAS[command], MINIMAL[command]))
+        assert cases
+        for path, options in cases:
+            p = write_cfg(tmp_path, {"model": "example_2_8", **options})
+            with pytest.raises(ConfigurationError) as exc:
+                parse_config(p, command)
+            assert str(exc.value).startswith(f"{path}: expected"), path
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
         p = write_cfg(tmp_path, {"model": "example_2_8", "x": 0.0,
@@ -112,33 +154,74 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("block, reason", [
-        ({"params": {"bogus": 1}}, "unknown params keys: ['bogus']"),
+        ({"params": {"bogus": 1}},
+         "unknown config key(s): ['model.params.bogus']"),
         ({"params": {"growth_exp": "a", "coercivity_exp": 2,
                      "contraction_rate": 1, "dissipation_rate": 1}},
-         "params key 'growth_exp' must be a number, not 'a'"),
+         "model.params.growth_exp: expected a finite number, got 'a'"),
         ({"nu1": {"size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}}},
-         "nu1: jump measure lacks key 'intensity'"),
+         "missing required config key(s): ['model.nu1.intensity']"),
         ({"nu2": {"intensity": 1.0, "size": {"kind": "uniform", "lo": -0.5}}},
-         "nu2: jump size lacks key 'hi'"),
-        ({"nu1": [1, 2]}, "nu1: jump measure must be an object, not [1, 2]"),
+         "missing required config key(s): ['model.nu2.size.hi']"),
+        ({"nu1": [1, 2]}, "model.nu1: expected a mapping, got [1, 2]"),
         ({"nu1": {"intensity": 1.0, "intensty": 5,
                   "size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}}},
-         "nu1: unknown jump measure keys: ['intensty']"),
+         "unknown config key(s): ['model.nu1.intensty']"),
         ({"nu2": {"intensity": 1.0, "size": {"kind": "uniform", "lo": -0.5,
                                              "hi": 0.5, "mu": 3}}},
-         "nu2: unknown jump size keys: ['mu']"),
+         "unknown config key(s): ['model.nu2.size.mu']"),
         ({"sigma_y_independent": "no"},
-         "model key 'sigma_y_independent' must be true or false, not 'no'"),
+         "model.sigma_y_independent: expected true or false, got 'no'"),
         ({"sigma_y_independent": None},
-         "model key 'sigma_y_independent' must be true or false, not None"),
+         "model.sigma_y_independent: expected true or false, got None"),
+        ({"name": [1]}, "model.name: expected a string, got [1]"),
     ], ids=["params-unknown", "params-not-a-number", "nu1-no-intensity",
             "nu2-size-no-hi", "nu1-not-an-object", "nu1-unknown-key",
-            "nu2-size-unknown-key", "sigma-flag-string", "sigma-flag-null"])
+            "nu2-size-unknown-key", "sigma-flag-string", "sigma-flag-null",
+            "name-not-a-string"])
     def test_malformed_model_block_exit_2(self, tmp_path, block, reason):
         p = write_cfg(tmp_path, {"model": {**JUMP_OU_CFG, **block}, "x": 0.0})
         out = tmp_path / "out"
         assert run("frozen-stats", p, out_dir=out) == 2
         assert reason in (out / "error.log").read_text()
+
+    @pytest.mark.parametrize("command, options, path", [
+        ("frozen-stats", {"x": 0.0, "horizon": math.inf}, "horizon"),
+        ("frozen-stats", {"x": 0.0, "burn_in": math.nan}, "burn_in"),
+        ("poisson-check", {"x": 0.0, "y": 1.0, "t_cut": math.inf}, "t_cut"),
+        ("ergodicity", {"x": 0.0, "y1": 1.0, "y2": -1.0, "t_end": math.nan},
+         "t_end"),
+        ("frozen-stats", {"x": math.nan}, "x"),
+        ("frozen-stats", {"x": math.inf}, "x"),
+        ("frozen-stats", {"model": {**JUMP_OU_CFG, "nu2": {
+            "intensity": math.nan,
+            "size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}}}, "x": 0.0},
+         "model.nu2.intensity"),
+    ], ids=["horizon-inf", "burn_in-nan", "t_cut-inf", "t_end-nan", "x-nan",
+            "x-inf", "intensity-nan"])
+    def test_non_finite_number_exit_2(self, tmp_path, command, options, path):
+        p = write_cfg(tmp_path, {"model": "example_2_8", "delta": 2**-6,
+                                 **options})
+        out = tmp_path / "out"
+        assert run(command, p, out_dir=out) == 2
+        assert f"{path}: expected a finite number" in (out / "error.log").read_text()
+
+    @pytest.mark.parametrize("command, options", [
+        ("frozen-stats", {"x": 0.0, "chains": 8, "burn_in": 1.0,
+                          "horizon": 0.05}),
+        ("avg-table", {"table": {"box": [-1, 1], "nodes": 3, "chains": 4,
+                                 "burn_in": 1.0, "horizon": 0.1,
+                                 "delta": 2**-6}}),
+        ("poisson-check", {"x": 0.0, "y": 1.0, "t_cut": 2.0, "chains": 8,
+                           "burn_in": 1.0, "horizon": 0.05}),
+    ])
+    def test_invariant_horizon_too_short_for_batches_exit_2(self, tmp_path,
+                                                           command, options):
+        p = write_cfg(tmp_path, {"model": "example_2_8", **options})
+        out = tmp_path / "out"
+        assert run(command, p, out_dir=out) == 2
+        log = (out / "error.log").read_text()
+        assert "error_code=2" in log and "chains need" in log
 
 
 def test_import_leaves_scipy_stats_unloaded():

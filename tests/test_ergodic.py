@@ -99,8 +99,9 @@ class TestInvariantMeasure:
             assert abs(v0 - v2) < 3 * np.hypot(c0, c2)
 
     def test_low_ess_flagged(self):
+        # 16 kept states per chain: the least that 2 chains' 32 batches take
         inv = estimate_invariant_measure(
-            jump_ou(), 0.0, burn_in=0.5, horizon=2.0, n_chains=2,
+            jump_ou(), 0.0, burn_in=0.5, horizon=8.0, n_chains=2,
             delta=2**-6, thin=32, stream=RngStream(102))
         assert "low-ess" in inv.flags
 
@@ -108,12 +109,29 @@ class TestInvariantMeasure:
         with pytest.raises(ConfigurationError):
             estimate_invariant_measure(jump_ou(), 0.0, burn_in=-1.0,
                                        horizon=1.0, stream=RngStream(1))
+        for delta in (0.0, -0.01):
+            with pytest.raises(ConfigurationError, match="delta > 0"):
+                estimate_invariant_measure(jump_ou(), 0.0, burn_in=1.0, horizon=1.0,
+                                           delta=delta, stream=RngStream(1))
+
+    def test_horizon_too_short_for_the_batches_is_refused(self):
+        # 8 chains take 4 batches each; at thin 8 the collector keeps the
+        # states of steps 256, 264, ... of a 256 + 25 or 256 + 24 step run
+        kw = dict(burn_in=1.0, n_chains=8, delta=2**-8, thin=8)
+        inv = estimate_invariant_measure(jump_ou(), 0.0, horizon=25 / 256,
+                                         stream=RngStream(3), **kw)
+        assert inv.samples.shape == (32, 1) and inv.n_batches == 32
+        inv.mean_ci(inv.samples[:, 0])
+        with pytest.raises(ConfigurationError,
+                           match="keeps 3 states per chain, but 8 chains need 4"):
+            estimate_invariant_measure(jump_ou(), 0.0, horizon=24 / 256,
+                                       stream=RngStream(3), **kw)
 
     def test_blow_up_names_x(self):
         m = scalar_model("wall", b=lambda x, y: y, sigma=1.0, g=1.0,
                          f=lambda x, y: np.where(x > 2.5, np.inf, -y))
         with pytest.raises(BlowUpError, match=r"invariant measure \(x=3\.0\)"):
-            estimate_invariant_measure(m, 3.0, burn_in=0.25, horizon=0.5,
+            estimate_invariant_measure(m, 3.0, burn_in=0.25, horizon=1.0,
                                        n_chains=4, delta=2**-6, stream=RngStream(2))
 
 
