@@ -740,6 +740,8 @@ def ergodicity_decay(model: ModelSpec, x, y1, y2, *, times, n_pairs: int,
     that step's end time; a time under half a step (s < 0) is dropped.
     ci_half is 1.96 cross-pair standard errors of each kept point.
     """
+    if not delta > 0:
+        raise ConfigurationError(f"delta must be positive, not {delta!r}")
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= 0:
         raise ConfigurationError("decay times must be positive")

@@ -51,7 +51,10 @@ elapsed sub-interval lengths (increments are generated forward, so no
 bridge construction is needed); compensated jump measures contribute a
 deterministic drift correction between events and the raw jump map at
 events. Event times are exact draws of the constant-rate Poisson streams,
-inserted into the micro grid path by path.
+inserted into the micro grid path by path. A step that no event splits
+advances every active row by one scalar step in a single-rate run (IEEE
+arithmetic on a broadcast scalar gives the bits of a filled array), and
+by one step per row in a multi-rate run.
 """
 
 from __future__ import annotations
@@ -266,8 +269,9 @@ class _Kernel:
         self.scheme = cfg.scheme
         self.blocks = _stream_blocks(stream, self.n_paths, cfg)
         self.blocked = not isinstance(stream, RngStream)
-        # row offsets of the blocks, closed by n_paths
-        self.bounds = np.cumsum([0] + [n for _, n, _ in self.blocks])
+        # row offsets of the blocks, closed by n_paths (Python ints, cheap
+        # to slice with on every advance)
+        self.bounds = np.cumsum([0] + [n for _, n, _ in self.blocks]).tolist()
         self._rows = self.bounds    # block rows of the current advance
         self.n_steps = _n_steps(self.t_end, self.delta)
         # per block: the run's steps per own step, its step and step count
@@ -393,18 +397,19 @@ class _Kernel:
             if idx is not None and type(scale) is not float:
                 scale = scale[idx]
             dte = dt * scale
+            col = dte if isinstance(dte, float) else dte[:, None]
             d = np.asarray(comp.drift(sub))
             if self.scheme == "tamed_euler":
                 fac = dte / (1.0 + dte * _norm(d))
                 inc = d * fac[:, None]
             elif self.scheme == "split_step_implicit":
-                inc = _implicit_increment(comp, sub, s, dte)
+                inc = _implicit_increment(comp, sub, s, col)
             else:
-                inc = d * dte[:, None]
+                inc = d * col
             if comp.compensator is not None:
-                inc = inc - comp.compensator(sub) * dte[:, None]
+                inc = inc - comp.compensator(sub) * col
             g = np.asarray(comp.diffusion(sub))
-            dw = draws[comp.wiener] * np.sqrt(dte)[:, None]
+            dw = draws[comp.wiener] * np.sqrt(col)
             inc = inc + _matvec(g, dw)
             out[comp.name] = s + inc
         if idx is None:
@@ -508,6 +513,7 @@ class _Kernel:
         module docstring); the states are then the terminal states."""
         P, dl, T, n_steps = self.n_paths, self.delta, self.t_end, self.n_steps
         offsets, ev_p, ev_t, ev_c, ev_z = self._generate_events()
+        offsets = offsets.tolist()
         hooks = {name: [getattr(w, name) for w in observers if hasattr(w, name)]
                  for name in ("start", "observe", "on_advance", "on_jump")}
         self._on_advance, self._on_jump = hooks["on_advance"], hooks["on_jump"]
@@ -526,7 +532,8 @@ class _Kernel:
                     rows, k, t0, t1 = clock(s)
                 lo, hi = offsets[s], offsets[s + 1]
                 if lo == hi:
-                    self._advance(rows, np.full(k, t1 - t0), t1)
+                    # a scalar step, or one per row of a multi-rate run
+                    self._advance(rows, t1 - t0, t1)
                 else:
                     p, tt, cc, zz = ev_p[lo:hi], ev_t[lo:hi], ev_c[lo:hi], ev_z[lo:hi]
                     upaths, starts, counts = np.unique(p, return_index=True,
@@ -547,9 +554,9 @@ class _Kernel:
                     arr = self.states[comp.name]
                     if rows is not None:
                         arr = arr[:k]
-                    ok = (np.isfinite(arr).all(axis=1)
-                          & (np.abs(arr) < _STATE_CAP).all(axis=1))
-                    if not ok.all():
+                    # one reduction per step; NaN and +-inf fail it too
+                    if not np.abs(arr).max() < _STATE_CAP:
+                        ok = (np.abs(arr) < _STATE_CAP).all(axis=1)
                         raise self._blow_up(t1, np.flatnonzero(~ok))
                 for observe in hooks["observe"]:
                     observe(s, t_run, self.states)
@@ -594,11 +601,12 @@ def _checkpoint_steps(checkpoints, delta, t_end, n_steps) -> dict[int, float]:
     return cp_map
 
 
-def _implicit_increment(comp, sub, s, dte):
+def _implicit_increment(comp, sub, s, dcol):
+    """The split-step implicit increment over a step of dcol: a scalar, or
+    a column of one step per row."""
     if s.shape[1] != 1:
         raise ConfigurationError("split-step implicit scheme supports scalar components")
     u = s.copy()
-    dcol = dte[:, None]
     for _ in range(50):
         d = np.asarray(comp.drift({**sub, comp.name: u}))
         g = u - s - dcol * d

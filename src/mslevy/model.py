@@ -406,9 +406,11 @@ def _boxes(model, box):
         halves = float(box), float(box)
     else:
         raise ConfigurationError("box must be a half-width or (slow, fast) half-widths")
-    if not all(0 < h < np.inf for h in halves):
+    # the probes draw from [-h, h], whose width 2h must be finite too
+    if not all(0 < 2 * h < np.inf for h in halves):
         raise ConfigurationError(
-            f"box half-widths must be positive and finite, not {box!r}")
+            f"box half-widths must be positive and at most half the largest "
+            f"float, not {box!r}")
     return halves
 
 

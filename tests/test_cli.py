@@ -153,6 +153,14 @@ class TestExitCodes:
         assert all(b"NaN" not in data for data in read_all(out).values())
 
 
+    @pytest.mark.parametrize("delta", [0.0, -2**-6])
+    def test_ergodicity_delta_that_is_not_positive_exit_2(self, tmp_path, delta):
+        p = write_cfg(tmp_path, {"model": "example_2_8", "x": 0.0, "y1": 1.0,
+                                 "y2": -1.0, "delta": delta})
+        out = tmp_path / "out"
+        assert run("ergodicity", p, out_dir=out) == 2
+        assert "delta must be positive" in (out / "error.log").read_text()
+
     @pytest.mark.parametrize("block, reason", [
         ({"params": {"bogus": 1}},
          "unknown config key(s): ['model.params.bogus']"),
@@ -266,7 +274,8 @@ class TestValidateModel:
         assert [c["assumption"] for c in failed] == ["fast_contraction"]
 
 
-    @pytest.mark.parametrize("box", [-2.0, 0.0])
+    # 1e308 is finite, but the probes' range [-h, h] is not
+    @pytest.mark.parametrize("box", [-2.0, 0.0, 1e308])
     def test_box_that_is_not_positive_exit_2(self, tmp_path, box):
         p = write_cfg(tmp_path, {"model": "example_2_7_linear", "probes": 50,
                                  "box": box})

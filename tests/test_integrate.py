@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from mslevy.integrate import (
     run_pair_batch,
     run_system_batch,
 )
-from mslevy.model import example_2_7, scalar_model
+from mslevy.model import example_2_7, model_from_config, scalar_model
 from mslevy.observers import MeanCurve, ThinCollector
 from mslevy.rng import JumpMeasureSpec, PointMass, RngStream, Uniform
 
@@ -328,6 +330,24 @@ class TestCheckpointsAndBlowup:
         assert exc.value.block == 0
         assert exc.value.paths == [1, 3]
 
+    @pytest.mark.parametrize("value, time", [
+        (np.nan, 0.921875), (np.inf, 0.921875), (-np.inf, 0.921875),
+        (1e14, 0.921875),
+        # finite at the first bad step; the state passes the cap later
+        (2e12, 0.984375),
+    ])
+    def test_blow_up_guard_catches_nan_inf_and_the_cap(self, value, time):
+        # once y > 0.5, the one path at x = 3 (path 1 of block 1) diffuses
+        # with `value`: NaN, +-inf or a finite state beyond the cap
+        m = scalar_model("edge", b=0.0, sigma=0.0, f=lambda x, y: 1.0 - y,
+                         g=lambda x, y: np.where((x > 2.5) & (y > 0.5), value, 1.0))
+        x = np.array([0.0] * 3 + [1.0, 3.0, 1.0, 1.0] + [0.0] * 2)[:, None]
+        blocks = [(RngStream(23, i), n) for i, n in enumerate((3, 4, 2))]
+        with pytest.raises(BlowUpError) as exc:
+            run_frozen_batch(m, x, 0.0, horizon=2.0, delta=2**-6, n_chains=9,
+                             stream=blocks)
+        assert (exc.value.time, exc.value.paths, exc.value.block) == (time, [1], 1)
+
     @pytest.mark.slow
     def test_no_blow_up_example_2_7(self):
         # superlinear drifts -x^3, -y^5 complete a full batch without aborts
@@ -614,3 +634,95 @@ class TestObservers:
         paths = ("path_system", "path_averaged") if pair else ("path",)
         for key, name in zip(paths, keys):
             np.testing.assert_array_equal(seen[key].slow[-1], seen[name][0])
+
+
+def _sha(out) -> str:
+    """sha256 over a run's outputs (terminal states, sup, clamps) and its
+    checkpoint snapshots, in key order; recorded paths are not hashed."""
+    h = hashlib.sha256()
+    for key in sorted(out):
+        if key == "checkpoints":
+            for t in sorted(out[key]):
+                for name in sorted(out[key][t]):
+                    h.update(np.ascontiguousarray(out[key][t][name]).tobytes())
+        else:
+            h.update(np.ascontiguousarray(out[key]).tobytes())
+    return h.hexdigest()
+
+
+def _golden_run(case):
+    """One small fixed-seed run per kernel path whose bytes are pinned."""
+    if case == "frozen-no-events":
+        # the expression model of the corrector workload, without jumps
+        m = model_from_config({
+            "b": "-pow(x,3)+x+pow(y,3)", "sigma": "x", "f": "sin(x)-y-pow(y,5)",
+            "g": "1", "nu1": {"intensity": 0.0, "size": {"kind": "point_mass",
+                                                          "value": 0.0}},
+            "nu2": {"intensity": 0.0, "size": {"kind": "point_mass", "value": 0.0}}})
+        return run_frozen_batch(m, 0.0, 1.0, horizon=0.5, delta=2**-8, n_chains=6,
+                                stream=RngStream(101), checkpoints=(0.25, 0.5))
+    if case == "frozen-quadrature":
+        # a jump map that is not affine in the mark: quadrature compensator
+        m = scalar_model("quad", b=0.0, sigma=0.0,
+                         f=lambda x, y: 0.5 * x - y - 0.1 * y * y * y, g=1.0,
+                         h2=lambda x, y, z: z * z * (0.3 + 0.1 * y * y),
+                         nu2=JumpMeasureSpec(intensity=48.0, size=Uniform(0.1, 0.6)))
+        blocks = [(RngStream(102, i), n) for i, n in enumerate((3, 4))]
+        x = np.repeat([-1.0, 0.5], (3, 4))[:, None]
+        return run_frozen_batch(m, x, 0.2, horizon=0.5, delta=2**-6, n_chains=7,
+                                stream=blocks, checkpoints=(0.25, 0.5))
+    if case == "multi-rate-pair-table":
+        m = scalar_model(
+            "multi", b=lambda x, y: -x + y, sigma=0.5,
+            f=lambda x, y: -y - y * y * y, g=1.0,
+            h1=lambda x, z: z * z * (1.0 + 0.1 * x),
+            h2=lambda x, y, z: z * z * (0.3 + 0.1 * y * y),
+            nu1=JumpMeasureSpec(8.0, Uniform(-0.5, 0.7)),
+            nu2=JumpMeasureSpec(2.0, Uniform(0.1, 0.6)),
+            sigma_y_independent=True)
+        # a narrow table, so that the twin clamps
+        grid = np.linspace(0.25, 0.75, 9)
+        table = AveragedTable(
+            grid=grid, drift_values=-grid[:, None], drift_ci=np.zeros((9, 1)),
+            diff2_values=np.ones((9, 1, 1)), diff2_ci=np.zeros((9, 1, 1)))
+        policy = DeltaPolicy(mode="scaled", fast_exp=4)
+        cfgs = [StepperConfig(epsilon=e, delta=policy.delta_for(e, 2**-4),
+                              t_end=0.375) for e in (2**-4, 2**-3, 2**-2)]
+        blocks = [(RngStream(103, j), 4, c) for j, c in enumerate(cfgs)]
+        return run_pair_batch(m, table, 0.5, -0.3, cfgs[0], 12, blocks,
+                              checkpoints=(0.1875, 0.375))
+    # one short coupled run per scheme, with slow and fast jumps
+    m = scalar_model(
+        "schemes", b=lambda x, y: -x + y, sigma=0.5,
+        f=lambda x, y: -y - y * y * y, g=1.0,
+        h1=lambda x, z: z * (1.0 + 0.1 * x),
+        nu1=JumpMeasureSpec(8.0, Uniform(-0.5, 0.7)),
+        nu2=JumpMeasureSpec(16.0, Uniform(0.1, 0.6)))
+    cfg = StepperConfig(epsilon=2**-3, delta=2**-7, t_end=0.25, scheme=case)
+    return run_system_batch(m, 0.5, -0.3, cfg, 5, RngStream(104),
+                            checkpoints=(0.125, 0.25))
+
+
+class TestGoldenBytes:
+    # digests of the runs above, recorded before the kernel's per-advance
+    # overheads were cut; a change that moves one changed the arithmetic.
+    # They hold for one NumPy build (2.4.6, x86-64): another LAPACK may
+    # move the last bits of the Gauss-Legendre nodes of the quadrature runs
+    GOLDEN = {
+        "frozen-no-events":
+            "69c4542a6ced68bf7f9223941246346f0f0972c959126504c0cda15bfe582225",
+        "frozen-quadrature":
+            "7dfa3c70216c8f2b398dc3fd45b5dcbfe924d4457964e1c92a761afc72f80d28",
+        "multi-rate-pair-table":
+            "a3b5f9db94897833c4a09274c9b244ea31abd4e87e431d97023cc1230e83b073",
+        "tamed_euler":
+            "ad191cc7ce20817987dfeb72b680206fe5a544851255623d7d05d00dce129ce1",
+        "euler":
+            "cdde7cbd44ed58ef4983c1d1b2e224559c955281e117d11bda7036869cfa7c11",
+        "split_step_implicit":
+            "dabb32de739abd10f304e4368ecf2bec3686d2762112f0a3844e6e2e5fd8a600",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_run_bytes_are_pinned(self, case):
+        assert _sha(_golden_run(case)) == self.GOLDEN[case]
