@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -211,8 +212,20 @@ def parse_config(path, command: str | None = None,
 
 def _write_json(path: Path, payload: dict):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _strict(value):
+    """`value` with each non-finite float as its name ("nan", "inf" or
+    "-inf"): strict JSON has no such numbers."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _write_csv(path: Path, header: list[str], rows):

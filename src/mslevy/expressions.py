@@ -77,6 +77,19 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     has no nesting limit, holds no more arrays than a nested call would,
     and folds no constant. Literals and the grammar's functions are the
     only names it sees.
+
+    The same pass splits the function for a run whose slow state x stays
+    fixed. A statement is slow-only when its operands are x, literals or
+    slow-only results, at least one of them not a literal, and it is no
+    power with exponent 0 (whose value is the float 1.0). Then
+    `fn.prelude(env)` makes the slow-only statements from env["x"] and
+    returns the results that the other statements read, by name, and
+    `fn.step(env)` makes the other statements, in the same order,
+    reading those results (named in `fn.slow`) from env beside the
+    variables. A statement gets the same operands either way, so the
+    split function gives the unsplit one's bits, also on rows gathered
+    after the prelude. `fn.used` names the variables the expression
+    reads.
     """
     if not isinstance(text, str) or not text.strip():
         raise ConfigurationError("coefficient expression must be a nonempty string")
@@ -88,8 +101,14 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     variables = tuple(variables)
     literals: dict[str, object] = {}
     used: list[str] = []
-    temps: set[str] = set()
-    lines: list[str] = []
+    statements: list[tuple[str, str, tuple[str, ...]]] = []
+    slow = {"x"}        # x and the slow-only statements' results
+
+    def number(node) -> object:
+        value = node.value
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return value
+        raise ConfigurationError(f"literal {value!r} is not a number")
 
     def literal(value) -> str:
         # bound by name, never emitted as repr: 1e400 parses to inf
@@ -97,25 +116,27 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         literals[name] = value
         return name
 
-    def apply(fn: str, *args: str) -> str:
-        """A new temporary holding fn(*args). Each temporary is read once,
-        and dropped there, as a nested call would drop it."""
-        name = f"_t{len(temps)}"
-        lines.append(f"    {name} = {fn}({', '.join(args)})")
-        dead = [a for a in args if a in temps]
-        if dead:
-            lines.append(f"    del {', '.join(dead)}")
-        temps.add(name)
+    def apply(fn: str, *args: str, zero_power=False) -> str:
+        """A new temporary holding fn(*args)."""
+        name = f"_t{len(statements)}"
+        statements.append((name, fn, args))
+        if (not zero_power and any(a in slow for a in args)
+                and all(a in slow or a in literals for a in args)):
+            slow.add(name)
         return name
+
+    def power(base: str, exponent: ast.Constant) -> str:
+        value = number(exponent)
+        # _pow gives the float 1.0, not a per-row array, for an exponent 0
+        zero = float(value).is_integer() and int(value) == 0
+        return apply("_pow", base, literal(value), zero_power=zero)
 
     def emit(node: ast.AST) -> str:
         """The name holding `node`'s value, after the statements that compute it."""
         if isinstance(node, ast.Expression):
             return emit(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-                return literal(float(node.value))
-            raise ConfigurationError(f"literal {node.value!r} is not a number")
+            return literal(float(number(node)))
         if isinstance(node, ast.Name):
             if node.id in variables:
                 if node.id not in used:
@@ -134,7 +155,7 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                 base = emit(node.left)
                 if not isinstance(node.right, ast.Constant):
                     raise ConfigurationError("exponent of ** must be a numeric literal")
-                return apply("_pow", base, literal(node.right.value))
+                return power(base, node.right)
             op = _BINOPS.get(type(node.op))
             if op is None:
                 raise ConfigurationError(f"operator {type(node.op).__name__} not in grammar")
@@ -149,7 +170,7 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                     raise ConfigurationError("pow takes exactly two arguments")
                 base = emit(node.args[0])
                 if isinstance(node.args[1], ast.Constant):
-                    return apply("_pow", base, literal(node.args[1].value))
+                    return power(base, node.args[1])
                 return apply("_power", base, emit(node.args[1]))
             fn = _FUNCS.get(fname)
             if fn is None:
@@ -160,13 +181,36 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         raise ConfigurationError(f"syntax {type(node).__name__} not in grammar")
 
     result = emit(tree)
-    code = "\n".join(["def evaluate(env):",
-                      *(f'    {name} = env["{name}"]' for name in used),
-                      *lines,
-                      f"    return _asarray({result}, dtype=_float)"])
+    prelude = [s for s in statements if s[0] in slow]
+    steps = [s for s in statements if s[0] not in slow]
+    step_reads = {a for _, _, args in steps for a in args} | {result}
+    handed = [name for name, _, _ in prelude if name in step_reads]
+    ret = f"_asarray({result}, dtype=_float)"
+    code = [*_function("evaluate", used, statements, ret),
+            *_function("prelude", ["x"] if prelude else [], prelude,
+                       "{" + ", ".join(f'"{n}": {n}' for n in handed) + "}"),
+            *_function("step", [v for v in used if v in step_reads] + handed, steps, ret)]
     namespace = {**_NAMESPACE, **literals}
-    exec(code, namespace)
+    exec("\n".join(code), namespace)
     evaluate = namespace["evaluate"]
     evaluate.source = text
     evaluate.variables = variables
+    evaluate.used = tuple(used)
+    evaluate.prelude = namespace["prelude"]
+    evaluate.slow = tuple(handed)
+    evaluate.step = namespace["step"]
     return evaluate
+
+
+def _function(name, reads, statements, returns):
+    """Source lines of function `name(env)`: it reads the names `reads`
+    from env, makes `statements`, dropping each temporary after its one
+    read, and returns `returns`."""
+    lines = [f"def {name}(env):", *(f'    {n} = env["{n}"]' for n in reads)]
+    for target, fn, args in statements:
+        lines.append(f"    {target} = {fn}({', '.join(args)})")
+        dead = [a for a in args if a.startswith("_t")]
+        if dead:
+            lines.append(f"    del {', '.join(dead)}")
+    lines.append(f"    return {returns}")
+    return lines

@@ -12,7 +12,9 @@ PathSample under `out["path"]`.
 A run's time grid is its StepperConfig, and every stream block (below)
 carries one. The frozen equation is the system's fast half at a fixed
 slow state, on blocks at epsilon = 1, so its delta must be at most 1/16
-and its horizon positive. Each jump channel compensates its targets.
+and its horizon positive. The slow-only parts of its coefficients are
+made once per run and kept as derived states, which every advance and
+jump gathers with its rows. Each jump channel compensates its targets.
 
 Observers are a run's only side channel: `start` at t = 0, `observe`
 after every micro step, and the read-only hooks `on_advance` and
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .model import ModelSpec
+from .model import ModelSpec, fast_coefficients
 from .rng import JumpMeasureSpec, RngStream, _mark_affine, sample_jump_times_batch
 
 __all__ = [
@@ -288,6 +290,8 @@ class _Kernel:
         self.components: list[_Component] = []
         self.channels: list[_Channel] = []
         self.states: dict[str, np.ndarray] = {}
+        self.derive = None          # add_derived's function, or None
+        self.derived: tuple[str, ...] = ()
         self.wiener: dict[str, tuple[int, list[np.random.Generator]]] = {}
         self._on_advance = []       # the run's observer hooks
         self._on_jump = []
@@ -314,6 +318,16 @@ class _Kernel:
             gens = [b[0].child(f"wiener:{wiener}").generator() for b in self.blocks]
             self.wiener[wiener] = (int(wiener_dim), gens)
 
+    def add_derived(self, derive):
+        """Per-row arrays derive(states) -> {name: array}, made once from the
+        states and kept among them after the components, so that every
+        advance and jump gathers them with its rows; the compensator
+        probes derive them again from their perturbed states. Add them
+        after the components and before the channels."""
+        arrays = derive(self.states)
+        self.derive, self.derived = derive, tuple(arrays)
+        self.states.update(arrays)
+
     def add_channel(self, name, measure: JumpMeasureSpec, rate, targets):
         """rate: a float, or one per block; targets: list of
         (component_name, jump_fn(sub, marks)->(k,dim)). Every target gets
@@ -334,10 +348,11 @@ class _Kernel:
         gen = np.random.Generator(np.random.Philox(0xC0FFEE))
         subs = []
         for _ in range(2):
-            subs.append({
-                n: a[lo:hi] + gen.uniform(-1.0, 1.0, a[lo:hi].shape)
-                for n, a in self.states.items()
-            })
+            sub = {n: a[lo:hi] + gen.uniform(-1.0, 1.0, a[lo:hi].shape)
+                   for n, a in self.states.items() if n not in self.derived}
+            if self.derive is not None:
+                sub.update(self.derive(sub))
+            subs.append(sub)
         return subs
 
     def _blockwise(self, forms, dim):
@@ -699,23 +714,22 @@ def _add_slow(kernel: _Kernel, model: ModelSpec, name, x0, drift):
     )
 
 
-def _fast_half(kernel: _Kernel, model: ModelSpec, y0s):
+def _fast_half(kernel: _Kernel, model: ModelSpec, y0s, binds):
     """The fast equation on W2 at each block's eps (time scale 1/eps), one
-    component per initial state: y, then its synchronous copy y2. Returns
-    the fast channel's rates (intensity/eps) and targets."""
+    component per initial state: y, then its synchronous copy y2, with
+    the coefficients `binds` (`model.fast_coefficients`). Returns the
+    fast channel's rates (intensity/eps) and targets."""
     eps = [cfg.epsilon for cfg in kernel.configs]
     names = ["y", "y2"][:len(y0s)]
+    drift, diffusion, jump = binds
     for name, y0 in zip(names, y0s):
         kernel.add_component(
-            name, model.dim_fast, y0,
-            drift=lambda sub, name=name: model.fast_drift(sub["x"], sub[name]),
-            diffusion=lambda sub, name=name: model.fast_diffusion(sub["x"], sub[name]),
+            name, model.dim_fast, y0, drift=drift(name), diffusion=diffusion(name),
             wiener="w2", wiener_dim=model.dw_fast,
             time_scale=kernel.per_block([1.0 / e for e in eps]),
         )
     return ([model.fast_measure.intensity / e for e in eps],
-            [(name, lambda sub, z, name=name: model.fast_jump(sub["x"], sub[name], z))
-             for name in names])
+            [(name, jump(name)) for name in names])
 
 
 def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
@@ -724,7 +738,7 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
     output "clamped" counts each block's table clamps (`_Clamps`)."""
     _add_slow(kernel, model, "x", x0,
               lambda sub: model.slow_drift(sub["x"], sub["y"]))
-    fast = _fast_half(kernel, model, [y0])
+    fast = _fast_half(kernel, model, [y0], fast_coefficients(model)[1])
     slow = ["x"]
     if twin is not None:
         clamps = _Clamps(twin, kernel)
@@ -762,9 +776,13 @@ class _Clamps:
 
 def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0s):
     """The frozen equation: the fast half at the constant slow state `x`,
-    on blocks at eps = 1."""
+    on blocks at eps = 1. The slow-only parts of its coefficients are
+    made once per run, as derived states after the fast components."""
     kernel.states["x"] = _init_state(x, model.dim_slow, kernel.n_paths)
-    kernel.add_channel("fast", model.fast_measure, *_fast_half(kernel, model, y0s))
+    prelude, binds = fast_coefficients(model, frozen=True)
+    fast = _fast_half(kernel, model, y0s, binds)
+    kernel.add_derived(lambda states: prelude(states["x"]))
+    kernel.add_channel("fast", model.fast_measure, *fast)
 
 
 def _build_averaged(kernel: _Kernel, model: ModelSpec, avg, x0):
@@ -827,10 +845,11 @@ class _PairSup:
 
 class _PathRecorder:
     """Path 0 on the jump-augmented grid, after every advance and jump at
-    the kernel's own end and event times; one JumpEvent per jump target."""
+    the kernel's own end and event times; one JumpEvent per jump target,
+    whose context holds the other states, less the `derived` ones."""
 
-    def __init__(self, names):
-        self.names = names
+    def __init__(self, names, derived):
+        self.names, self.derived = names, derived
         self.events = []
 
     def start(self, states):
@@ -852,7 +871,8 @@ class _PathRecorder:
                 time=float(times[0]), mark=float(marks[0]), channel=channel.name,
                 target=target, pre=pre[target][0].copy(),
                 post=states[target][0].copy(),
-                context={n: v[0].copy() for n, v in pre.items() if n != target}))
+                context={n: v[0].copy() for n, v in pre.items()
+                         if n != target and n not in self.derived}))
         self.on_advance(rows, times, states)
 
     def sample(self, slow, fast) -> PathSample:
@@ -891,7 +911,7 @@ def _drive(build, cfg: StepperConfig, n_paths, stream, *, outputs, paths=None,
     names = [c.name for c in kernel.components]
     snaps = _Checkpoints(kernel.checkpoint_steps(checkpoints), names)
     tracker = _PairSup(*sup) if sup is not None else None
-    recorder = _PathRecorder(names) if record else None
+    recorder = _PathRecorder(names, kernel.derived) if record else None
     kernel.run([w for w in (*watchers, snaps, tracker, recorder) if w is not None])
     out = {key: kernel.states[name].copy() for key, name in outputs.items()}
     out["checkpoints"] = snaps.snapshots

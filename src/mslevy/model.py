@@ -19,7 +19,7 @@ counterexample witness whenever a probe violates the declared bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "BUILTIN_MODELS",
     "get_model",
     "model_from_config",
+    "fast_coefficients",
     "check_monotonicity",
     "check_fast_dissipativity",
     "check_strong_monotonicity_fast",
@@ -109,7 +110,6 @@ class ModelSpec:
     fast_measure: JumpMeasureSpec
     sigma_y_independent: bool = False
     params: AssumptionParams | None = None
-    config: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         gen = np.random.Generator(np.random.Philox(_PROBE_SEED))
@@ -229,31 +229,21 @@ def example_2_7(sigma_variant: str = "state_linear") -> ModelSpec:
     sigma(x, y) = sin(x) + sin(y) + 3 (sine_bounded).
     """
     if sigma_variant == "state_linear":
-        sigma = lambda x, y: x
-        y_indep = True
-        name = "example_2_7_linear"
+        sigma, y_indep, name = "x", True, "example_2_7_linear"
     elif sigma_variant == "sine_bounded":
-        sigma = lambda x, y: np.sin(x) + np.sin(y) + 3.0
-        y_indep = False
-        name = "example_2_7_sine"
+        sigma, y_indep, name = "sin(x) + sin(y) + 3.0", False, "example_2_7_sine"
     else:
         raise ConfigurationError(f"unknown sigma variant {sigma_variant!r}")
-    params = AssumptionParams(
-        growth_exp=4,
-        coercivity_exp=6,
-        contraction_rate=2.0,
-        dissipation_rate=0.5,
-        drift_monotone_bound=1.0,
-    )
-    return scalar_model(
-        name,
-        b=lambda x, y: -x * x * x + x + y * y * y,
-        sigma=sigma,
-        f=lambda x, y: np.sin(x) - y - y * y * y * y * y,
-        g=1.0,
-        sigma_y_independent=y_indep,
-        params=params,
-    )
+    return model_from_config({
+        "name": name,
+        "b": "-x * x * x + x + y * y * y",
+        "sigma": sigma,
+        "f": "sin(x) - y - y * y * y * y * y",
+        "g": "1",
+        "sigma_y_independent": y_indep,
+        "params": {"growth_exp": 4, "coercivity_exp": 6, "contraction_rate": 2.0,
+                   "dissipation_rate": 0.5, "drift_monotone_bound": 1.0},
+    })
 
 
 def example_2_8() -> ModelSpec:
@@ -262,22 +252,16 @@ def example_2_8() -> ModelSpec:
     b(x, y) = x - arctan(x) y^2 + y,  sigma = 1,  f(x, y) = cos(x) - y^3,
     g = 1, jumps h1 = h2 = z.
     """
-    params = AssumptionParams(
-        growth_exp=2,
-        coercivity_exp=4,
-        contraction_rate=1.0,
-        dissipation_rate=0.5,
-        drift_monotone_bound=1.0,
-    )
-    return scalar_model(
-        "example_2_8",
-        b=lambda x, y: x - np.arctan(x) * y * y + y,
-        sigma=1.0,
-        f=lambda x, y: np.cos(x) - y * y * y,
-        g=1.0,
-        sigma_y_independent=True,
-        params=params,
-    )
+    return model_from_config({
+        "name": "example_2_8",
+        "b": "x - arctan(x) * y * y + y",
+        "sigma": "1",
+        "f": "cos(x) - y * y * y",
+        "g": "1",
+        "sigma_y_independent": True,
+        "params": {"growth_exp": 2, "coercivity_exp": 4, "contraction_rate": 1.0,
+                   "dissipation_rate": 0.5, "drift_monotone_bound": 1.0},
+    })
 
 
 BUILTIN_MODELS = {
@@ -287,8 +271,14 @@ BUILTIN_MODELS = {
 }
 
 
-_COEFFICIENT_VARIABLES = {"b": ("x", "y"), "sigma": ("x", "y"), "f": ("x", "y"),
-                          "g": ("x", "y"), "h1": ("x", "z"), "h2": ("x", "y", "z")}
+# per expression key: its ModelSpec field, its variables and the unit
+# dimensions its flat value gains
+_COEFFICIENTS = {"b": ("slow_drift", ("x", "y"), 1),
+                 "sigma": ("slow_diffusion", ("x", "y"), 2),
+                 "f": ("fast_drift", ("x", "y"), 1),
+                 "g": ("fast_diffusion", ("x", "y"), 2),
+                 "h1": ("slow_jump", ("x", "z"), 1),
+                 "h2": ("fast_jump", ("x", "y", "z"), 1)}
 
 _MODEL_SCHEMA = {
     "name": (False, "custom", string()),
@@ -305,6 +295,29 @@ _MODEL_SCHEMA = {
 }
 
 
+def _coefficient(evaluate, variables, trailing):
+    """The compiled expression `evaluate` of `variables` as a coefficient
+    in the batch convention, in one closure: states arrive as (paths, 1)
+    columns and marks as a flat array, and the flat value gains
+    `trailing` unit dimensions (a constant value is broadcast over the
+    batch). `fast_coefficients` splits it for frozen runs."""
+    expand = (slice(None),) + (None,) * trailing
+    if variables == ("x", "z"):
+        def coefficient(x, z):
+            out = evaluate({"x": x[:, 0], "z": np.asarray(z, dtype=float)})
+            return (out if out.ndim else np.full(len(x), float(out)))[expand]
+    elif variables == ("x", "y", "z"):
+        def coefficient(x, y, z):
+            out = evaluate({"x": x[:, 0], "y": y[:, 0], "z": np.asarray(z, dtype=float)})
+            return (out if out.ndim else np.full(len(x), float(out)))[expand]
+    else:
+        def coefficient(x, y):
+            out = evaluate({"x": x[:, 0], "y": y[:, 0]})
+            return (out if out.ndim else np.full(len(x), float(out)))[expand]
+    coefficient.expression, coefficient.expand = evaluate, expand
+    return coefficient
+
+
 def model_from_config(cfg: dict) -> ModelSpec:
     """Build a scalar model from expression-valued coefficients.
 
@@ -316,18 +329,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
     """
     m = apply_schema(cfg, _MODEL_SCHEMA, "model")
     exprs = {}
-    for key, variables in _COEFFICIENT_VARIABLES.items():
+    for key, (_, variables, _) in _COEFFICIENTS.items():
         exprs[key] = compile_expression(m[key], variables)
-
-    def on_xy(key):
-        fn = exprs[key]
-        return lambda x, y: fn({"x": x, "y": y})
-
-    def on_xz(fn):
-        return lambda x, z: fn({"x": x, "z": z})
-
-    def on_xyz(fn):
-        return lambda x, y, z: fn({"x": x, "y": y, "z": z})
 
     sigma_flag = m["sigma_y_independent"]
     if sigma_flag is None:
@@ -339,21 +342,15 @@ def model_from_config(cfg: dict) -> ModelSpec:
         b = np.broadcast_to(sig({"x": xs, "y": gen.uniform(-4, 4, 1000)}), xs.shape)
         sigma_flag = bool(np.array_equal(a, b))
 
-    spec = scalar_model(
-        m["name"],
-        b=on_xy("b"),
-        sigma=on_xy("sigma"),
-        f=on_xy("f"),
-        g=on_xy("g"),
-        h1=on_xz(exprs["h1"]),
-        h2=on_xyz(exprs["h2"]),
-        nu1=m["nu1"],
-        nu2=m["nu2"],
+    return ModelSpec(
+        name=m["name"], dim_slow=1, dim_fast=1, dw_slow=1, dw_fast=1,
+        **{field: _coefficient(exprs[key], variables, trailing)
+           for key, (field, variables, trailing) in _COEFFICIENTS.items()},
+        slow_measure=m["nu1"] if m["nu1"] is not None else default_jump_measure(),
+        fast_measure=m["nu2"] if m["nu2"] is not None else default_jump_measure(),
         sigma_y_independent=sigma_flag,
         params=m["params"],
     )
-    # keep the raw block so effective configs replay exactly
-    return replace(spec, config=dict(cfg))
 
 
 def get_model(ref) -> ModelSpec:
@@ -366,6 +363,83 @@ def get_model(ref) -> ModelSpec:
                 f"unknown model {ref!r}; built-ins: {sorted(BUILTIN_MODELS)}"
             ) from None
     return model_from_config(ref)
+
+
+def fast_coefficients(model: ModelSpec, frozen: bool = False):
+    """The fast coefficients f, g and h2 for the kernel: (prelude, binds).
+
+    Each of the three binds maps a fast component's name to its kernel
+    closure, closure(sub) or, for h2, closure(sub, z), which reads x and
+    that component's state from the kernel's `sub`.
+
+    A frozen run holds x fixed. With `frozen`, each expression
+    coefficient splits as `compile_expression` describes: prelude(x)
+    maps keys to per-row arrays of the slow-only parts at the slow
+    states x (paths, dim_slow), which the kernel makes once per run and
+    keeps among its states, gathered with the rows, and the closures read
+    them from `sub`. A coefficient whose value reads no fast state and no
+    mark is its per-row array. Other callables, and every coefficient of
+    a run whose x moves, have no prelude and bind to plain closures.
+    """
+    parts, binds = [], []
+    for key, marks in (("fast_drift", False), ("fast_diffusion", False),
+                       ("fast_jump", True)):
+        fn = getattr(model, key)
+        part, bind = _frozen(fn, key, marks) if frozen else (None, None)
+        if part is None:
+            bind = _plain_bind(fn, marks)
+        else:
+            parts.append(part)
+        binds.append(bind)
+
+    def prelude(x):
+        return {k: v for part in parts for k, v in part(x).items()}
+
+    return prelude, binds
+
+
+def _plain_bind(fn, marks):
+    if marks:
+        return lambda name: lambda sub, z: fn(sub["x"], sub[name], z)
+    return lambda name: lambda sub: fn(sub["x"], sub[name])
+
+
+def _frozen(fn, key, marks):
+    """(part, bind) of fast coefficient `fn` in a frozen run: part(x)
+    maps keys that start with `key` to fn's per-row arrays, and bind is
+    as in `fast_coefficients`; (None, None) when fn does not split."""
+    evaluate = getattr(fn, "expression", None)
+    if getattr(evaluate, "step", None) is None:
+        return None, None
+    expand = fn.expand
+    if set(evaluate.used) <= {"x"}:
+        # no fast state and no mark: the whole value is one per-row array
+        def whole(x):
+            out = evaluate({"x": x[:, 0]})
+            return {key: (out if out.ndim else np.full(len(x), float(out)))[expand]}
+
+        if marks:
+            return whole, lambda name: lambda sub, z: sub[key]
+        return whole, lambda name: lambda sub: sub[key]
+
+    prelude, step = evaluate.prelude, evaluate.step
+    slow = [(n, f"{key}.{n}") for n in evaluate.slow]
+
+    def part(x):
+        return {f"{key}.{n}": v for n, v in prelude({"x": x[:, 0]}).items()}
+
+    def bind(name):
+        def closure(sub, *z):
+            env = {"x": sub["x"][:, 0], "y": sub[name][:, 0]}
+            if z:
+                env["z"] = np.asarray(z[0], dtype=float)
+            for n, k in slow:
+                env[n] = sub[k]
+            out = step(env)
+            return (out if out.ndim else np.full(len(env["y"]), float(out)))[expand]
+        return closure
+
+    return part, bind
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +694,8 @@ def check_growth(model: ModelSpec, probes: int, box, stream: RngStream) -> Assum
             else:
                 d = fn(x, y + bump) - fn(x, y - bump)
             grad = np.linalg.norm(d, axis=1) / (2 * step)
-            worst = max(worst, float(np.max(grad / envelope)))
+            # np.maximum keeps a NaN ratio, which Python's max drops
+            worst = float(np.maximum(worst, np.max(grad / envelope)))
     finite = bool(np.isfinite(worst))
     return AssumptionReport("drift_growth_ratio", probes, worst, None, finite,
                             None, {"growth_exp": float(k)})

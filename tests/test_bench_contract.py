@@ -6,6 +6,7 @@ A rename or a changed argument name would only surface when
 `bench/run.py --trace 1` runs; these checks catch it in the test suite.
 """
 
+import copy
 import dataclasses
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mslevy import cli, ergodic, estimate, integrate, model, rng
@@ -109,3 +111,27 @@ def test_cli_builds_tables_through_the_patched_builder(tmp_path, monkeypatch):
     cli._get_table(model.example_2_8(), "example_2_8", tb, 0,
                    tmp_path, rng.RngStream(0))
     assert built == [3, 3]
+
+
+def test_compile_expression_takes_text_and_variables():
+    # the tracer wraps model.compile_expression as compile(text, variables)
+    fn = model.compile_expression("x * y + 1", ("x", "y"))
+    assert fn({"x": np.array([2.0]), "y": np.array([3.0])}).tolist() == [7.0]
+
+
+def test_a_model_wrapped_as_the_tracer_wraps_it_runs_the_same_bytes(tracer):
+    # get_model_traced copies the model and wraps its six coefficients in
+    # plain callables, which a frozen run takes without a split
+    def run(spec):
+        blocks = [(rng.RngStream(5, i), n) for i, n in enumerate((4, 3))]
+        x = np.repeat([-0.5, 1.0], (4, 3))[:, None]
+        out = integrate.run_frozen_batch(spec, x, 0.2, horizon=2.0, delta=2**-6,
+                                         n_chains=7, stream=blocks)
+        return out["terminal_fast"].tobytes()
+
+    original = model.example_2_7("state_linear")
+    spec = copy.copy(original)
+    for coef in tracer._COEFFICIENTS:
+        fn = getattr(spec, coef)
+        object.__setattr__(spec, coef, lambda *args, fn=fn: fn(*args))
+    assert run(spec) == run(original)

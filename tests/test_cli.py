@@ -153,6 +153,14 @@ class TestExitCodes:
         assert all(b"NaN" not in data for data in read_all(out).values())
 
 
+    @pytest.mark.parametrize("f, literal", [("0.7 - pow(y, 'a')", "'a'"),
+                                            ("0.7 - y ** True", "True")])
+    def test_exponent_that_is_not_a_number_exit_2(self, tmp_path, f, literal):
+        p = write_cfg(tmp_path, {"model": {**JUMP_OU_CFG, "f": f}, "x": 0.0})
+        out = tmp_path / "out"
+        assert run("frozen-stats", p, out_dir=out) == 2
+        assert f"literal {literal} is not a number" in (out / "error.log").read_text()
+
     @pytest.mark.parametrize("delta", [0.0, -2**-6])
     def test_ergodicity_delta_that_is_not_positive_exit_2(self, tmp_path, delta):
         p = write_cfg(tmp_path, {"model": "example_2_8", "x": 0.0, "y1": 1.0,
@@ -273,6 +281,25 @@ class TestValidateModel:
         failed = [c for c in rep["checks"] if not c["passed"]]
         assert [c["assumption"] for c in failed] == ["fast_contraction"]
 
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_nan_growth_ratio_fails_in_strict_json(self, tmp_path):
+        # at this box every probe ratio is NaN: each check fails, and the
+        # report names the non-finite numbers instead of writing NaN tokens
+        p = write_cfg(tmp_path, {"model": "example_2_7_linear", "probes": 50,
+                                 "box": 8e307})
+        out = tmp_path / "out"
+        assert run("validate-model", p, out_dir=out) == 1
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in report.json")
+
+        rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        checks = {c["assumption"]: c for c in rep["checks"]}
+        assert not any(c["passed"] for c in checks.values())
+        assert len(checks) == 4
+        assert checks["drift_growth_ratio"]["observed"] == "nan"
 
     # 1e308 is finite, but the probes' range [-h, h] is not
     @pytest.mark.parametrize("box", [-2.0, 0.0, 1e308])

@@ -78,6 +78,11 @@ def test_compiled_function_is_pure():
     ("x ** -2", "exponent of ** must be a numeric literal"),
     ("'a' + x", "literal 'a' is not a number"),
     ("True", "literal True is not a number"),
+    # an exponent literal is a literal too
+    ("pow(y, 'a')", "literal 'a' is not a number"),
+    ("pow(y, True)", "literal True is not a number"),
+    ("y ** True", "literal True is not a number"),
+    ("y ** 'a'", "literal 'a' is not a number"),
 ])
 def test_refusals_name_what_is_outside_the_grammar(text, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -165,3 +170,38 @@ def test_compiled_function_equals_a_tree_walk_bit_for_bit(text, xy):
         want = np.asarray(_walk(ast.parse(text, mode="eval"), env), dtype=float)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_grammar_expressions(),
+       xy=st.integers(1, 5).flatmap(lambda n: st.tuples(
+           st.lists(_VALUES, min_size=n, max_size=n),
+           st.lists(_VALUES, min_size=n, max_size=n),
+           st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))))
+def test_prelude_on_x_then_step_on_gathered_rows_equals_the_function(text, xy):
+    # a frozen run makes the prelude once on every row's x, then gathers
+    # its results with the rows each step advances
+    x, y, idx = np.array(xy[0]), np.array(xy[1]), np.array(xy[2])
+    fn = compile_expression(text, ("x", "y"))
+    with np.errstate(all="ignore"):
+        slow = fn.prelude({"x": x})
+        got = fn.step({"x": x[idx], "y": y[idx],
+                       **{name: value[idx] for name, value in slow.items()}})
+        want = fn({"x": x[idx], "y": y[idx]})
+    assert set(slow) == set(fn.slow)
+    assert all(value.shape == x.shape for value in slow.values())
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text, slow", [
+    ("sin(x) - y - y * y * y * y * y", ("_t0",)),
+    ("y * (2 * 3)", ()),                # a literal-only subtree stays per step
+    ("pow(x, 0) * y", ()),              # the float 1.0, not a per-row array
+    ("x * y", ()),
+    ("cos(x)", ("_t0",)),
+    ("1", ()),
+])
+def test_slow_only_results_handed_to_the_step(text, slow):
+    fn = compile_expression(text, ("x", "y"))
+    assert fn.slow == slow

@@ -16,7 +16,7 @@ from mslevy.integrate import (
     run_pair_batch,
     run_system_batch,
 )
-from mslevy.model import example_2_7, model_from_config, scalar_model
+from mslevy.model import example_2_7, example_2_8, model_from_config, scalar_model
 from mslevy.observers import MeanCurve, ThinCollector
 from mslevy.rng import JumpMeasureSpec, PointMass, RngStream, Uniform
 
@@ -691,6 +691,31 @@ def _golden_run(case):
         blocks = [(RngStream(103, j), 4, c) for j, c in enumerate(cfgs)]
         return run_pair_batch(m, table, 0.5, -0.3, cfgs[0], 12, blocks,
                               checkpoints=(0.1875, 0.375))
+    if case == "frozen-blocks-builtin":
+        # two blocks at their own slow states, with fast jumps: the
+        # sub-advances and jump rows gather the slow-only parts
+        blocks = [(RngStream(105, i), n) for i, n in enumerate((5, 3))]
+        x = np.repeat([-0.7, 1.3], (5, 3))[:, None]
+        return run_frozen_batch(example_2_7("state_linear"), x, 0.4, horizon=3.0,
+                                delta=2**-6, n_chains=8, stream=blocks,
+                                checkpoints=(1.5, 3.0))
+    if case == "frozen-pair-2-8":
+        return run_frozen_pair_batch(example_2_8(), 0.6, -1.0, 1.0, horizon=3.0,
+                                     delta=2**-6, n_pairs=6, stream=RngStream(106))
+    if case == "frozen-sine":
+        return run_frozen_batch(example_2_7("sine_bounded"), -0.9, 0.3, horizon=3.0,
+                                delta=2**-6, n_chains=6, stream=RngStream(107),
+                                checkpoints=(1.5, 3.0))
+    if case == "frozen-affine-expression":
+        # a fast jump map affine in the mark, with slow-only coefficients
+        m = model_from_config({
+            "b": "-x", "sigma": "1", "f": "cos(x) - y - y*y*y", "g": "1 + 0.5*sin(x)",
+            "h2": "sin(x)*z + 0.2*z",
+            "nu2": {"intensity": 6.0, "size": {"kind": "uniform", "lo": 0.1, "hi": 0.6}}})
+        blocks = [(RngStream(108, i), n) for i, n in enumerate((4, 4))]
+        x = np.repeat([0.3, -1.1], (4, 4))[:, None]
+        return run_frozen_batch(m, x, 0.0, horizon=2.0, delta=2**-6, n_chains=8,
+                                stream=blocks, checkpoints=(1.0, 2.0))
     # one short coupled run per scheme, with slow and fast jumps
     m = scalar_model(
         "schemes", b=lambda x, y: -x + y, sigma=0.5,
@@ -721,6 +746,15 @@ class TestGoldenBytes:
             "cdde7cbd44ed58ef4983c1d1b2e224559c955281e117d11bda7036869cfa7c11",
         "split_step_implicit":
             "dabb32de739abd10f304e4368ecf2bec3686d2762112f0a3844e6e2e5fd8a600",
+        # recorded before frozen runs evaluated slow-only parts once per run
+        "frozen-blocks-builtin":
+            "72a3e3e6a14a6615374da1a3ebd45b4106e08e678e0e32b20108d967071265b7",
+        "frozen-pair-2-8":
+            "3d81aff131c04bb9fcc8f35526012b3f2c77cf038ca0c6d21c45c0b4edda2ade",
+        "frozen-sine":
+            "3dc982eb97ddbfe2ac143dfa1105d4347b430b96107655abd4290e459c359b9a",
+        "frozen-affine-expression":
+            "dab25b34bfbfe7fb271421c64c07923f4dfcd2b0075ec64161e4c6e185fc8d80",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))

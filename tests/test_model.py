@@ -10,6 +10,7 @@ from mslevy.model import (
     check_strong_monotonicity_fast,
     example_2_7,
     example_2_8,
+    fast_coefficients,
     get_model,
     model_from_config,
     scalar_model,
@@ -19,6 +20,71 @@ from mslevy.rng import RngStream
 
 def _col(*vals):
     return np.asarray(vals, dtype=float)[:, None]
+
+
+# the built-ins' coefficients as they were written before they became
+# expression blocks: flat arrays in, flat values (or constants) out
+_LAMBDAS = {
+    "example_2_7_linear": {"b": lambda x, y: -x * x * x + x + y * y * y,
+                           "sigma": lambda x, y: x,
+                           "f": lambda x, y: np.sin(x) - y - y * y * y * y * y},
+    "example_2_7_sine": {"b": lambda x, y: -x * x * x + x + y * y * y,
+                         "sigma": lambda x, y: np.sin(x) + np.sin(y) + 3.0,
+                         "f": lambda x, y: np.sin(x) - y - y * y * y * y * y},
+    "example_2_8": {"b": lambda x, y: x - np.arctan(x) * y * y + y,
+                    "sigma": lambda x, y: 1.0,
+                    "f": lambda x, y: np.cos(x) - y * y * y},
+}
+_FIELDS = {"b": ("slow_drift", 1), "sigma": ("slow_diffusion", 2),
+           "f": ("fast_drift", 1), "g": ("fast_diffusion", 2)}
+
+
+def _grid():
+    values = np.concatenate([np.linspace(-3.0, 3.0, 25),
+                             [-0.0, 1e-300, -1e-300, 40.0, -1e5, np.nan, np.inf]])
+    x, y = np.meshgrid(values, values)
+    return x.ravel(), y.ravel()
+
+
+@pytest.mark.parametrize("name", sorted(_LAMBDAS))
+def test_builtin_coefficients_equal_the_lambdas_they_replace(name):
+    model = get_model(name)
+    x, y = _grid()
+    k = x.size
+    oracle = {**_LAMBDAS[name], "g": lambda x, y: 1.0,
+              "h1": lambda x, z: z, "h2": lambda x, y, z: z}
+    z = np.linspace(-0.5, 0.5, k)
+    with np.errstate(all="ignore"):
+        for key, (field, trailing) in _FIELDS.items():
+            want = np.broadcast_to(np.asarray(oracle[key](x, y), dtype=float), (k,))
+            got = getattr(model, field)(x[:, None], y[:, None])
+            assert got.shape == (k,) + (1,) * trailing
+            assert got.ravel().tobytes() == np.ascontiguousarray(want).tobytes(), key
+        assert model.slow_jump(x[:, None], z).ravel().tobytes() == z.tobytes()
+        assert model.fast_jump(x[:, None], y[:, None], z).ravel().tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("name", [*sorted(_LAMBDAS), "custom"])
+def test_frozen_coefficients_on_gathered_rows_equal_the_model(name):
+    # the prelude runs once on every row's x; each closure then reads its
+    # rows' gathered results, as a frozen kernel's advances and jumps do
+    model = get_model(name if name != "custom" else {
+        "b": "-x", "sigma": "1", "f": "sin(x)*cos(x) - y + pow(x, 0)*y",
+        "g": "exp(-x*x) + 0*y", "h2": "arctan(x)*z + z*y"})
+    x, y = _grid()
+    idx = np.random.default_rng(0).integers(0, x.size, 300)
+    z = np.linspace(-0.5, 0.5, idx.size)
+    states = {"x": x[:, None], "y": y[:, None]}
+    with np.errstate(all="ignore"):
+        prelude, (f, g, h2) = fast_coefficients(model, frozen=True)
+        states.update(prelude(states["x"]))
+        sub = {n: a[idx] for n, a in states.items()}
+        cols = x[idx][:, None], y[idx][:, None]
+        for got, want in ((f("y")(sub), model.fast_drift(*cols)),
+                          (g("y")(sub), model.fast_diffusion(*cols)),
+                          (h2("y")(sub, z), model.fast_jump(*cols, z))):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBuiltins:
