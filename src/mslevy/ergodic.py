@@ -374,19 +374,23 @@ class AveragedTable:
         self._scale = (n - 1) / (g[-1] - g[0])
         if np.max(np.abs((g - g[0]) * self._scale - np.arange(n))) > _UNIFORM_TOL:
             raise ConfigurationError("a table axis must be a uniform grid")
-        # segment widths and value steps, as g[i + 1] - g[i] per lookup
+        if np.shape(self.drift_values) != (n, 1):
+            raise ConfigurationError("a table holds one scalar drift value per node")
+        # segment widths and value steps, as g[i + 1] - g[i] per lookup;
+        # the drift's as flat columns
         self._gap = np.diff(g)
-        self._drift_step = np.diff(self.drift_values, axis=0)
+        self._drift_flat = np.ascontiguousarray(self.drift_values[:, 0])
+        self._drift_step = np.diff(self._drift_flat)
         self._diff2_step = np.diff(self.diff2_values, axis=0)
         self.outside = None
 
     def _locate(self, x: np.ndarray):
         g = self.grid
         q = np.asarray(x, dtype=float)[:, 0]
-        outside = (q < g[0]) | (q > g[-1])
         self.outside = None
-        if outside.any():
-            self.outside = outside
+        # fmin/fmax skip NaN queries, which are never outside
+        if q.size and (np.fmin.reduce(q) < g[0] or np.fmax.reduce(q) > g[-1]):
+            self.outside = (q < g[0]) | (q > g[-1])
             q = np.clip(q, g[0], g[-1])
         # the floor of the node position is at most one node off on a
         # uniform grid; the fix-ups give clip(searchsorted(g, q, "right")
@@ -401,7 +405,7 @@ class AveragedTable:
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         idx, w = self._locate(x)
-        return self.drift_values[idx] + w[:, None] * self._drift_step[idx]
+        return (self._drift_flat[idx] + w * self._drift_step[idx])[:, None]
 
     def diff2(self, x: np.ndarray) -> np.ndarray:
         idx, w = self._locate(x)

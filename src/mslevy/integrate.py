@@ -13,8 +13,9 @@ A run's time grid is its StepperConfig, and every stream block (below)
 carries one. The frozen equation is the system's fast half at a fixed
 slow state, on blocks at epsilon = 1, so its delta must be at most 1/16
 and its horizon positive. The slow-only parts of its coefficients are
-made once per run and kept as derived states, which every advance and
-jump gathers with its rows. Each jump channel compensates its targets.
+made once per run and kept as derived states, which every advance
+gathers with its rows, and a jump round only where the channel's jump
+map reads them. Each jump channel compensates its targets.
 
 Observers are a run's only side channel: `start` at t = 0, `observe`
 after every micro step, and the read-only hooks `on_advance` and
@@ -53,10 +54,15 @@ elapsed sub-interval lengths (increments are generated forward, so no
 bridge construction is needed); compensated jump measures contribute a
 deterministic drift correction between events and the raw jump map at
 events. Event times are exact draws of the constant-rate Poisson streams,
-inserted into the micro grid path by path. A step that no event splits
-advances every active row by one scalar step in a single-rate run (IEEE
-arithmetic on a broadcast scalar gives the bits of a filled array), and
-by one step per row in a multi-rate run.
+inserted into the micro grid path by path. A run draws them once, into a
+schedule of rounds: round r of a step holds the (r+1)-th event of every
+path that has that many in the step, in order of path. A step that no
+event splits advances every active row by one scalar step in a
+single-rate run (IEEE arithmetic on a broadcast scalar gives the bits of
+a filled array), and by one step per row in a multi-rate run. A step
+with events advances every active row to its first event, or to the
+step's end; then each round applies its jumps and advances its rows to
+their next event, or to the step's end.
 """
 
 from __future__ import annotations
@@ -201,6 +207,11 @@ class _Component:
     wiener: str
     time_scale: object      # a float, or one value per row (multi-rate)
     compensator: object = None
+    # components on one Wiener key at one float time scale (x and its
+    # twin xt) share one scaled draw: the group's key in an advance's
+    # draws, which its lead fills and the others read; None when alone
+    noise: object = None
+    lead: bool = False
 
 
 @dataclass
@@ -209,6 +220,7 @@ class _Channel:
     measure: JumpMeasureSpec
     rates: list      # one per block
     targets: list    # (component name, jump_fn)
+    gather: tuple    # the states a jump round gathers for the targets
 
 
 def _n_steps(t_end: float, delta: float) -> int:
@@ -312,8 +324,15 @@ class _Kernel:
         self.states[name] = _init_state(init, dim, self.n_paths)
         if np.ndim(time_scale) == 0:
             time_scale = float(time_scale)
-        self.components.append(_Component(name, dim, drift, diffusion, wiener,
-                                          time_scale))
+        comp = _Component(name, dim, drift, diffusion, wiener, time_scale)
+        if type(time_scale) is float:
+            lead = next((c for c in self.components if c.wiener == wiener
+                         and type(c.time_scale) is float
+                         and c.time_scale == time_scale), None)
+            if lead is not None:
+                lead.noise = comp.noise = (wiener, time_scale)
+                lead.lead = True
+        self.components.append(comp)
         if wiener not in self.wiener:
             gens = [b[0].child(f"wiener:{wiener}").generator() for b in self.blocks]
             self.wiener[wiener] = (int(wiener_dim), gens)
@@ -328,14 +347,16 @@ class _Kernel:
         self.derive, self.derived = derive, tuple(arrays)
         self.states.update(arrays)
 
-    def add_channel(self, name, measure: JumpMeasureSpec, rate, targets):
+    def add_channel(self, name, measure: JumpMeasureSpec, rate, targets, reads=()):
         """rate: a float, or one per block; targets: list of
-        (component_name, jump_fn(sub, marks)->(k,dim)). Every target gets
+        (component_name, jump_fn(sub, marks)->(k,dim)), whose `sub` holds
+        every state but the derived ones outside `reads`. Every target gets
         the channel's compensator, so add the channels after the
         components: the compensator probes perturb every state."""
         rates = [rate] * len(self.blocks) if np.ndim(rate) == 0 else list(rate)
+        gather = tuple(n for n in self.states if n not in self.derived or n in reads)
         self.channels.append(_Channel(name, measure, [float(r) for r in rates],
-                                      list(targets)))
+                                      list(targets), gather))
         comps = {c.name: c for c in self.components}
         for target, jump_fn in targets:
             # each block probes its own rows, as a separate run would
@@ -392,11 +413,11 @@ class _Kernel:
             sub = {n: a[idx] for n, a in states.items()}
             if isinstance(idx, slice):
                 k = idx.stop
-                rows = np.minimum(self.bounds, k)
+                rows = [min(b, k) for b in self.bounds]
             else:
                 # idx is ascending, so each block's rows are contiguous
                 k = len(idx)
-                rows = np.searchsorted(idx, self.bounds)
+                rows = np.searchsorted(idx, self.bounds).tolist()
         self._rows = rows
         draws = {}
         for key, (dim, gens) in self.wiener.items():
@@ -409,9 +430,12 @@ class _Kernel:
         for comp in self.components:
             s = sub[comp.name]
             scale = comp.time_scale
-            if idx is not None and type(scale) is not float:
-                scale = scale[idx]
-            dte = dt * scale
+            if type(scale) is not float:
+                dte = dt * (scale if idx is None else scale[idx])
+            elif scale == 1.0:
+                dte = dt        # the bits of dt * 1.0
+            else:
+                dte = dt * scale
             col = dte if isinstance(dte, float) else dte[:, None]
             d = np.asarray(comp.drift(sub))
             if self.scheme == "tamed_euler":
@@ -424,7 +448,12 @@ class _Kernel:
             if comp.compensator is not None:
                 inc = inc - comp.compensator(sub) * col
             g = np.asarray(comp.diffusion(sub))
-            dw = draws[comp.wiener] * np.sqrt(col)
+            if comp.noise is None:
+                dw = draws[comp.wiener] * np.sqrt(col)
+            elif comp.lead:
+                dw = draws[comp.noise] = draws[comp.wiener] * np.sqrt(col)
+            else:
+                dw = draws[comp.noise]
             inc = inc + _matvec(g, dw)
             out[comp.name] = s + inc
         if idx is None:
@@ -436,25 +465,36 @@ class _Kernel:
         for hook in self._on_advance:
             hook(idx, end, states)
 
-    def _apply_jumps(self, paths, chans, marks, times):
+    def _apply_jumps(self, paths, kind, chans, marks, times):
+        """One jump round, one event per path: its channel `kind`'s, or
+        (kind None) each channel's events in the order of the channels."""
+        if kind is not None:
+            self._jump(self.channels[kind], paths, marks, times)
+            return
         for ci, chan in enumerate(self.channels):
             m = chans == ci
-            if not m.any():
-                continue
-            idx = paths[m]
-            z = marks[m]
-            sub = {n: a[idx] for n, a in self.states.items()}
-            for tname, jfn in chan.targets:
-                self.states[tname][idx] = sub[tname] + np.asarray(jfn(sub, z))
-            for hook in self._on_jump:
-                hook(idx, chan, z, times[m], sub, self.states)
+            if m.any():
+                self._jump(chan, paths[m], marks[m], times[m])
+
+    def _jump(self, chan, idx, z, times):
+        """Channel `chan`'s events at rows idx, with marks z."""
+        states = self.states
+        sub = {n: states[n][idx] for n in chan.gather}
+        for tname, jfn in chan.targets:
+            states[tname][idx] = sub[tname] + np.asarray(jfn(sub, z))
+        for hook in self._on_jump:
+            hook(idx, chan, z, times, sub, states)
 
     def _generate_events(self):
-        """Every jump event of the run, ordered by (step, path, time): the
-        offsets of each step's events, then per event its path (int32),
-        time, channel (int32) and mark. A block draws its events at its
-        own rate and places each on its own grid, on the step of the run
-        where that own step ends."""
+        """The run's jump schedule, in rounds: round r of a step holds the
+        (r+1)-th event of each path that has that many in the step, in
+        order of path. Returns (steps, cuts, kinds, path, time, channel,
+        mark): step s has rounds steps[s]:steps[s + 1], round j has events
+        cuts[j]:cuts[j + 1] and the one channel kinds[j] (None: it mixes
+        channels), and per event its path (int32), time, channel (int32)
+        and mark, as read-only arrays. A block draws its events at its own
+        rate and places each on its own grid, on the step of the run where
+        that own step ends."""
         pieces = []
         for ci, chan in enumerate(self.channels):
             for b, ((stream, n, _), rate) in enumerate(zip(self.blocks, chan.rates)):
@@ -465,7 +505,9 @@ class _Kernel:
                 gen = stream.child(f"marks:{chan.name}").generator()
                 pieces.append((b, ci, p, t, chan.measure.size.sample(gen, len(t))))
         # filled piece by piece, each dropped once copied: the schedule is
-        # the largest allocation of a wide run
+        # the largest allocation of a wide run. Each channel's pieces come
+        # in order of (path, time), and so of (path, step)
+        channels = len({piece[1] for piece in pieces})
         total = sum(len(piece[3]) for piece in pieces)
         step, path, chans = (np.empty(total, dtype=np.int32) for _ in range(3))
         times, marks = np.empty(total), np.empty(total)
@@ -482,18 +524,38 @@ class _Kernel:
             marks[k] = z
             at = k.stop
             del p, t, z, own
-        order = np.lexsort((times, path, step))
-        spare = np.empty(total, dtype=np.int32)
-        for arr in (step, path, chans):
-            np.take(arr, order, out=spare, mode="clip")
-            arr[:] = spare
-        spare = np.empty(total)
-        for arr in (times, marks):
-            np.take(arr, order, out=spare, mode="clip")
-            arr[:] = spare
-        del order, spare
-        offsets = np.searchsorted(step, np.arange(self.n_steps + 1))
-        return offsets, path, times, chans, marks
+
+        def reorder(order, *ints):
+            spare = np.empty(total, dtype=np.int32)
+            for arr in (step, path, chans, *ints):
+                np.take(arr, order, out=spare, mode="clip")
+                arr[:] = spare
+            spare = np.empty(total)
+            for arr in (times, marks):
+                np.take(arr, order, out=spare, mode="clip")
+                arr[:] = spare
+
+        if channels > 1:
+            reorder(np.lexsort((times, path)))      # merge the channels
+        # each event's rank in its (path, step) run, then the stable order
+        # by (step, rank), in which a round's paths ascend
+        new = np.ones(total, dtype=bool)
+        new[1:] = (step[1:] != step[:-1]) | (path[1:] != path[:-1])
+        rank = np.arange(total, dtype=np.int32)
+        rank -= np.maximum.accumulate(np.where(new, rank, 0))
+        reorder(np.lexsort((rank, step)), rank)
+        new[1:] = (step[1:] != step[:-1]) | (rank[1:] != rank[:-1])
+        first = np.flatnonzero(new)
+        steps = np.searchsorted(step[first], np.arange(self.n_steps + 1)).tolist()
+        kinds = []
+        if total:
+            kinds = [lo if lo == hi else None for lo, hi in zip(
+                np.minimum.reduceat(chans, first).tolist(),
+                np.maximum.reduceat(chans, first).tolist())]
+        del step, rank, new
+        for arr in (path, times, chans, marks):
+            arr.flags.writeable = False
+        return steps, first.tolist() + [total], kinds, path, times, chans, marks
 
     def _clock(self):
         """For a multi-rate run: step s of the run -> (rows, k, t0, t1),
@@ -527,8 +589,7 @@ class _Kernel:
         """Step every path to t_end, calling the observers' hooks (see the
         module docstring); the states are then the terminal states."""
         P, dl, T, n_steps = self.n_paths, self.delta, self.t_end, self.n_steps
-        offsets, ev_p, ev_t, ev_c, ev_z = self._generate_events()
-        offsets = offsets.tolist()
+        steps, cuts, kinds, ev_p, ev_t, ev_c, ev_z = self._generate_events()
         hooks = {name: [getattr(w, name) for w in observers if hasattr(w, name)]
                  for name in ("start", "observe", "on_advance", "on_jump")}
         self._on_advance, self._on_jump = hooks["on_advance"], hooks["on_jump"]
@@ -545,26 +606,26 @@ class _Kernel:
                     t0, t1 = s * dl, t_run
                 else:
                     rows, k, t0, t1 = clock(s)
-                lo, hi = offsets[s], offsets[s + 1]
-                if lo == hi:
+                a, b = steps[s], steps[s + 1]
+                if a == b:
                     # a scalar step, or one per row of a multi-rate run
                     self._advance(rows, t1 - t0, t1)
                 else:
-                    p, tt, cc, zz = ev_p[lo:hi], ev_t[lo:hi], ev_c[lo:hi], ev_z[lo:hi]
-                    upaths, starts, counts = np.unique(p, return_index=True,
-                                                       return_counts=True)
+                    # up to each path's first event, then round by round:
+                    # jump, and on to the path's next event or step end
+                    lo, hi = cuts[a], cuts[a + 1]
                     bound = np.full(k, t1)
-                    bound[upaths] = tt[starts]
+                    bound[ev_p[lo:hi]] = ev_t[lo:hi]
                     self._advance(rows, bound - t0, bound)
-                    nxt = np.full(hi - lo, t1) if clock is None else t1[p]
-                    same = p[1:] == p[:-1]
-                    nxt[:-1][same] = tt[1:][same]
-                    ranks = np.arange(hi - lo) - np.repeat(starts, counts)
-                    for r in range(int(counts.max())):
-                        sel = ranks == r
-                        ps, ts, ends = p[sel], tt[sel], nxt[sel]
-                        self._apply_jumps(ps, cc[sel], zz[sel], ts)
-                        self._advance(ps, ends - ts, ends)
+                    for j in range(a, b):
+                        lo, hi = cuts[j], cuts[j + 1]
+                        p, ts = ev_p[lo:hi], ev_t[lo:hi]
+                        ends = np.full(hi - lo, t1) if clock is None else t1[p]
+                        if j + 1 < b:
+                            nxt = slice(hi, cuts[j + 2])
+                            ends[np.searchsorted(p, ev_p[nxt])] = ev_t[nxt]
+                        self._apply_jumps(p, kinds[j], ev_c[lo:hi], ev_z[lo:hi], ts)
+                        self._advance(p, ends - ts, ends)
                 for comp in self.components:
                     arr = self.states[comp.name]
                     if rows is not None:
@@ -714,11 +775,12 @@ def _add_slow(kernel: _Kernel, model: ModelSpec, name, x0, drift):
     )
 
 
-def _fast_half(kernel: _Kernel, model: ModelSpec, y0s, binds):
+def _fast_half(kernel: _Kernel, model: ModelSpec, y0s, binds, reads):
     """The fast equation on W2 at each block's eps (time scale 1/eps), one
     component per initial state: y, then its synchronous copy y2, with
-    the coefficients `binds` (`model.fast_coefficients`). Returns the
-    fast channel's rates (intensity/eps) and targets."""
+    the coefficients `binds` that read the prelude keys `reads`
+    (`model.fast_coefficients`). Returns the fast channel's rates
+    (intensity/eps), targets and the prelude keys its jump map reads."""
     eps = [cfg.epsilon for cfg in kernel.configs]
     names = ["y", "y2"][:len(y0s)]
     drift, diffusion, jump = binds
@@ -729,7 +791,7 @@ def _fast_half(kernel: _Kernel, model: ModelSpec, y0s, binds):
             time_scale=kernel.per_block([1.0 / e for e in eps]),
         )
     return ([model.fast_measure.intensity / e for e in eps],
-            [(name, jump(name)) for name in names])
+            [(name, jump(name)) for name in names], reads[2])
 
 
 def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
@@ -738,7 +800,7 @@ def _build_slow_fast(kernel: _Kernel, model: ModelSpec, x0, y0, twin=None):
     output "clamped" counts each block's table clamps (`_Clamps`)."""
     _add_slow(kernel, model, "x", x0,
               lambda sub: model.slow_drift(sub["x"], sub["y"]))
-    fast = _fast_half(kernel, model, [y0], fast_coefficients(model)[1])
+    fast = _fast_half(kernel, model, [y0], *fast_coefficients(model)[1:])
     slow = ["x"]
     if twin is not None:
         clamps = _Clamps(twin, kernel)
@@ -779,8 +841,8 @@ def _build_frozen(kernel: _Kernel, model: ModelSpec, x, y0s):
     on blocks at eps = 1. The slow-only parts of its coefficients are
     made once per run, as derived states after the fast components."""
     kernel.states["x"] = _init_state(x, model.dim_slow, kernel.n_paths)
-    prelude, binds = fast_coefficients(model, frozen=True)
-    fast = _fast_half(kernel, model, y0s, binds)
+    prelude, binds, reads = fast_coefficients(model, frozen=True)
+    fast = _fast_half(kernel, model, y0s, binds, reads)
     kernel.add_derived(lambda states: prelude(states["x"]))
     kernel.add_channel("fast", model.fast_measure, *fast)
 
@@ -835,6 +897,9 @@ class _PairSup:
         a, b = states[self.a], states[self.b]
         if rows is None:
             np.maximum(self.value, _norm(a - b), out=self.value)
+        elif isinstance(rows, slice):
+            value = self.value[rows]
+            np.maximum(value, _norm(a[rows] - b[rows]), out=value)
         else:
             self.value[rows] = np.maximum(self.value[rows], _norm(a[rows] - b[rows]))
 

@@ -366,11 +366,13 @@ def get_model(ref) -> ModelSpec:
 
 
 def fast_coefficients(model: ModelSpec, frozen: bool = False):
-    """The fast coefficients f, g and h2 for the kernel: (prelude, binds).
+    """The fast coefficients f, g and h2 for the kernel: (prelude, binds,
+    reads).
 
     Each of the three binds maps a fast component's name to its kernel
     closure, closure(sub) or, for h2, closure(sub, z), which reads x and
-    that component's state from the kernel's `sub`.
+    that component's state from the kernel's `sub`, and the prelude keys
+    in the matching entry of `reads`.
 
     A frozen run holds x fixed. With `frozen`, each expression
     coefficient splits as `compile_expression` describes: prelude(x)
@@ -381,21 +383,22 @@ def fast_coefficients(model: ModelSpec, frozen: bool = False):
     mark is its per-row array. Other callables, and every coefficient of
     a run whose x moves, have no prelude and bind to plain closures.
     """
-    parts, binds = [], []
+    parts, binds, reads = [], [], []
     for key, marks in (("fast_drift", False), ("fast_diffusion", False),
                        ("fast_jump", True)):
         fn = getattr(model, key)
-        part, bind = _frozen(fn, key, marks) if frozen else (None, None)
+        part, bind, keys = _frozen(fn, key, marks) if frozen else (None, None, ())
         if part is None:
             bind = _plain_bind(fn, marks)
         else:
             parts.append(part)
         binds.append(bind)
+        reads.append(keys)
 
     def prelude(x):
         return {k: v for part in parts for k, v in part(x).items()}
 
-    return prelude, binds
+    return prelude, binds, reads
 
 
 def _plain_bind(fn, marks):
@@ -405,12 +408,13 @@ def _plain_bind(fn, marks):
 
 
 def _frozen(fn, key, marks):
-    """(part, bind) of fast coefficient `fn` in a frozen run: part(x)
-    maps keys that start with `key` to fn's per-row arrays, and bind is
-    as in `fast_coefficients`; (None, None) when fn does not split."""
+    """(part, bind, keys) of fast coefficient `fn` in a frozen run:
+    part(x) maps keys that start with `key` to fn's per-row arrays, bind
+    is as in `fast_coefficients`, and its closures read the prelude
+    `keys`; (None, None, ()) when fn does not split."""
     evaluate = getattr(fn, "expression", None)
     if getattr(evaluate, "step", None) is None:
-        return None, None
+        return None, None, ()
     expand = fn.expand
     if set(evaluate.used) <= {"x"}:
         # no fast state and no mark: the whole value is one per-row array
@@ -419,8 +423,8 @@ def _frozen(fn, key, marks):
             return {key: (out if out.ndim else np.full(len(x), float(out)))[expand]}
 
         if marks:
-            return whole, lambda name: lambda sub, z: sub[key]
-        return whole, lambda name: lambda sub: sub[key]
+            return whole, lambda name: lambda sub, z: sub[key], (key,)
+        return whole, lambda name: lambda sub: sub[key], (key,)
 
     prelude, step = evaluate.prelude, evaluate.step
     slow = [(n, f"{key}.{n}") for n in evaluate.slow]
@@ -439,7 +443,7 @@ def _frozen(fn, key, marks):
             return (out if out.ndim else np.full(len(env["y"]), float(out)))[expand]
         return closure
 
-    return part, bind
+    return part, bind, tuple(k for _, k in slow)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as sciint
 from scipy import special, stats
 
-from mslevy import ergodic
+from mslevy import ergodic, integrate
 from mslevy.errors import (
     BlowUpError,
     ConfigurationError,
@@ -239,6 +240,23 @@ class TestAveragedTable:
         table.drift(np.array([[0.5]]))
         assert table.outside is None
 
+    def test_a_nan_query_hides_no_clamp(self):
+        # a NaN query beside an outside one: the outside row is still
+        # clamped to the boundary value, flagged, and counted by a run
+        grid = np.linspace(-1.0, 1.0, 5)
+        table = AveragedTable(
+            grid=grid, drift_values=-grid[:, None], drift_ci=np.zeros((5, 1)),
+            diff2_values=np.ones((5, 1, 1)), diff2_ci=np.zeros((5, 1, 1)))
+        kernel = SimpleNamespace(blocks=[None, None], _rows=[0, 2, 3])
+        clamps = integrate._Clamps(table, kernel)
+        out = clamps.drift(np.array([[np.nan], [3.0], [0.5]]))
+        assert np.isnan(out[0, 0])
+        assert out[1, 0] == table.drift_values[-1, 0]
+        np.testing.assert_array_equal(table.outside, [False, True, False])
+        np.testing.assert_array_equal(clamps.counts, [1, 0])
+        clamps.drift(np.array([[np.nan], [-0.5]]))
+        assert table.outside is None
+
     def test_leave_node_out_refusal_on_curved_drift(self):
         m = scalar_model("cube", b=lambda x, y: x * x * x, sigma=1.0,
                          f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
@@ -375,6 +393,13 @@ class TestAveragedTable:
                           drift_ci=np.zeros((n, 1)),
                           diff2_values=np.ones((n, 1, 1)),
                           diff2_ci=np.zeros((n, 1, 1)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 1)])
+    def test_non_scalar_drift_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="one scalar drift value"):
+            AveragedTable(grid=np.linspace(0.0, 1.0, 3), drift_values=np.zeros(shape),
+                          drift_ci=np.zeros((3, 1)), diff2_values=np.ones((3, 1, 1)),
+                          diff2_ci=np.zeros((3, 1, 1)))
 
     def test_exact_averaged_adapter(self):
         avg = ExactAveraged(lambda x: -x, lambda x: np.full((len(x), 1, 1), 4.0))

@@ -102,6 +102,28 @@ class TestZeroAndJumpDynamics:
         for ev in path.events:
             assert ev.time in times
 
+    @settings(max_examples=30, deadline=None)
+    @given(rates=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+           lo=st.floats(-1.0, 0.5), width=st.floats(0.05, 1.0),
+           t_end=st.floats(0.05, 0.5), delta=st.floats(2**-10, 2**-7),
+           seed=st.integers(0, 2**16))
+    def test_recorded_events_lie_on_the_grid_and_replay(self, rates, lo, width,
+                                                        t_end, delta, seed):
+        # fast jumps at up to 320 per unit time: steps of several rounds
+        marks = Uniform(lo, lo + width)
+        m = scalar_model(
+            "prop", b=lambda x, y: -x + y, sigma=0.5,
+            f=lambda x, y: -y - y * y * y, g=1.0,
+            h1=lambda x, z: z * (1.0 + 0.1 * x),
+            h2=lambda x, y, z: z * (0.5 + 0.1 * y * y),
+            nu1=JumpMeasureSpec(rates[0], marks), nu2=JumpMeasureSpec(rates[1], marks))
+        cfg = StepperConfig(epsilon=2**-3, delta=delta, t_end=t_end)
+        path = _one_path(m, 0.5, -0.3, cfg, seed)
+        assert np.all(np.diff(path.times) > 0)
+        times = set(path.times.tolist())
+        assert all(ev.time in times for ev in path.events)
+        assert path.replay_jumps(m)
+
 
 class TestFrozen:
     def test_linear_ode_limit(self):
@@ -716,6 +738,41 @@ def _golden_run(case):
         x = np.repeat([0.3, -1.1], (4, 4))[:, None]
         return run_frozen_batch(m, x, 0.0, horizon=2.0, delta=2**-6, n_chains=8,
                                 stream=blocks, checkpoints=(1.0, 2.0))
+    if case == "frozen-rank-2":
+        # about 2.5 fast events per path and step: steps of three and more
+        # jump rounds, whose jump map reads a slow-only part
+        m = model_from_config({
+            "b": "-x", "sigma": "1", "f": "cos(x) - y - y*y*y", "g": "1",
+            "h2": "z * cos(x)",
+            "nu2": {"intensity": 160.0, "size": {"kind": "uniform", "lo": -0.3,
+                                                 "hi": 0.5}}})
+        return run_frozen_batch(m, 0.4, 0.1, horizon=0.5, delta=2**-6, n_chains=6,
+                                stream=RngStream(109), checkpoints=(0.25, 0.5))
+    if case in ("pair-mixed-rounds", "multi-rate-rank-1"):
+        m = scalar_model(
+            "rounds", b=lambda x, y: -x + y, sigma=0.5,
+            f=lambda x, y: -y - y * y * y, g=1.0,
+            h1=lambda x, z: z * (1.0 + 0.1 * x),
+            h2=lambda x, y, z: z * (0.5 + 0.1 * y * y),
+            nu1=JumpMeasureSpec(24.0, Uniform(-0.5, 0.7)),
+            nu2=JumpMeasureSpec(12.0, Uniform(0.1, 0.6)),
+            sigma_y_independent=True)
+        grid = np.linspace(-1.0, 1.0, 9)
+        table = AveragedTable(
+            grid=grid, drift_values=-grid[:, None], drift_ci=np.zeros((9, 1)),
+            diff2_values=np.ones((9, 1, 1)), diff2_ci=np.zeros((9, 1, 1)))
+        if case == "pair-mixed-rounds":
+            # slow and fast events of one round on different paths
+            cfg = StepperConfig(epsilon=2**-3, delta=2**-7, t_end=0.25)
+            return run_pair_batch(m, table, 0.3, -0.2, cfg, 6, RngStream(110),
+                                  checkpoints=(0.125, 0.25))
+        # the fast rate at the finest eps gives second events within a step
+        policy = DeltaPolicy(mode="scaled", fast_exp=4)
+        cfgs = [StepperConfig(epsilon=e, delta=policy.delta_for(e, 2**-4),
+                              t_end=0.25) for e in (2**-5, 2**-4, 2**-3)]
+        blocks = [(RngStream(111, j), 3, c) for j, c in enumerate(cfgs)]
+        return run_pair_batch(m, table, 0.3, -0.2, cfgs[0], 9, blocks,
+                              checkpoints=(0.125, 0.25))
     # one short coupled run per scheme, with slow and fast jumps
     m = scalar_model(
         "schemes", b=lambda x, y: -x + y, sigma=0.5,
@@ -755,8 +812,41 @@ class TestGoldenBytes:
             "3dc982eb97ddbfe2ac143dfa1105d4347b430b96107655abd4290e459c359b9a",
         "frozen-affine-expression":
             "dab25b34bfbfe7fb271421c64c07923f4dfcd2b0075ec64161e4c6e185fc8d80",
+        # recorded before the event path took one round-ordered schedule
+        "frozen-rank-2":
+            "31b0f5e995a5b770c015d3689187b61fdbe79587ae7792c77f5faec26828cdb1",
+        "pair-mixed-rounds":
+            "e5367fa6b329d7296b4dcee4610fd8798b195f19e8330a73a104c224c25e6bae",
+        "multi-rate-rank-1":
+            "7d0894149de9b857bcb973083cac422b8acd7fd00d2e6ef6016d1a5002bf6973",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
     def test_run_bytes_are_pinned(self, case):
         assert _sha(_golden_run(case)) == self.GOLDEN[case]
+
+    @pytest.mark.parametrize("case, multi, rounds, mixed", [
+        ("frozen-rank-2", False, 3, False),
+        ("pair-mixed-rounds", False, 2, True),
+        ("multi-rate-rank-1", True, 2, True),
+    ])
+    def test_schedule_has_the_case_it_names(self, monkeypatch, case, multi, rounds,
+                                            mixed):
+        # the most rounds in one step, and whether a round mixes channels
+        seen = []
+        schedule = integrate._Kernel._generate_events
+
+        def spy(kernel):
+            out = schedule(kernel)
+            seen.append((kernel, out))
+            return out
+
+        monkeypatch.setattr(integrate._Kernel, "_generate_events", spy)
+        _golden_run(case)
+        (kernel, (steps, cuts, kinds, path, *_)), = seen
+        assert kernel.multi == multi
+        assert max(b - a for a, b in zip(steps[:-1], steps[1:])) >= rounds
+        assert (None in kinds) == mixed
+        for j in range(len(kinds)):
+            # each round's rows ascend, as _advance needs
+            assert np.all(np.diff(path[cuts[j]:cuts[j + 1]]) > 0)

@@ -76,13 +76,14 @@ def test_frozen_coefficients_on_gathered_rows_equal_the_model(name):
     z = np.linspace(-0.5, 0.5, idx.size)
     states = {"x": x[:, None], "y": y[:, None]}
     with np.errstate(all="ignore"):
-        prelude, (f, g, h2) = fast_coefficients(model, frozen=True)
+        prelude, (f, g, h2), reads = fast_coefficients(model, frozen=True)
         states.update(prelude(states["x"]))
-        sub = {n: a[idx] for n, a in states.items()}
+        # each closure has the states and only the prelude keys it reads
+        subs = [{n: states[n][idx] for n in ("x", "y", *keys)} for keys in reads]
         cols = x[idx][:, None], y[idx][:, None]
-        for got, want in ((f("y")(sub), model.fast_drift(*cols)),
-                          (g("y")(sub), model.fast_diffusion(*cols)),
-                          (h2("y")(sub, z), model.fast_jump(*cols, z))):
+        for got, want in ((f("y")(subs[0]), model.fast_drift(*cols)),
+                          (g("y")(subs[1]), model.fast_diffusion(*cols)),
+                          (h2("y")(subs[2], z), model.fast_jump(*cols, z))):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
