@@ -29,7 +29,7 @@ from scipy import special
 from .errors import BlowUpError, ConfigurationError, DecayFitError, TableValidationError
 from .estimate import _line_fit
 from .integrate import _n_steps, run_frozen_batch, run_frozen_pair_batch
-from .model import ModelSpec
+from .model import ModelSpec, _frozen
 from .observers import MeanCurve, ThinCollector
 from .rng import RngStream
 
@@ -599,8 +599,10 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
 
     Each cell is a stream block of n_traj paths, so the run has the
     draws, and every cell the numbers, of a separate `poisson_cell` call.
-    Cells are post-processed in order: the first cell whose decay fit
-    fails raises DecayFitError, and a blow-up names its cell.
+    The mean curve of b makes an expression drift's x-only part once per
+    run (`_drift_curve`), with the bits of evaluating b whole. Cells are
+    post-processed in order: the first cell whose decay fit fails raises
+    DecayFitError, and a blow-up names its cell.
     """
     k = len(ys)
     if t_cut <= 0:
@@ -615,8 +617,7 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
     avg_b_ci = np.broadcast_to(np.asarray(avg_b_ci, dtype=float), avg_b.shape)
     starts = np.stack([np.broadcast_to(np.asarray(y, dtype=float), (model.dim_fast,))
                        for y in ys])
-    curve = MeanCurve(lambda states: model.slow_drift(states["x"], states["y"]),
-                      blocks=k)
+    curve = _drift_curve(model, k)
     try:
         run_frozen_batch(model, x, np.repeat(starts, n_traj, axis=0),
                          horizon=t_cut, delta=delta, n_chains=k * n_traj,
@@ -627,6 +628,16 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
     per_path = curve.integral.reshape(k, n_traj, -1)
     return [_cell(curve, j, per_path[j], avg_b, avg_b_ci, t_cut)
             for j in range(k)]
+
+
+def _drift_curve(model, blocks=1) -> MeanCurve:
+    """MeanCurve of b(x, y) in a frozen run. An expression drift splits
+    as the fast coefficients do (`model._frozen`): its x-only statements
+    run once, at start, and only the others per step."""
+    part, bind, _ = _frozen(model.slow_drift, "slow_drift")
+    if part is None:
+        return MeanCurve(lambda st: model.slow_drift(st["x"], st["y"]), blocks)
+    return MeanCurve(bind("y"), blocks, prelude=lambda st: part(st["x"]))
 
 
 def _cell(curve, j, per_path, avg_b, avg_b_ci, t_cut) -> PoissonCell:
@@ -685,10 +696,12 @@ def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
     The right side is a fresh short-horizon run; the left side averages
     corrector estimates over endpoint draws, so the identity is tested
     without assuming it. The shift s (a config's semigroup_s) must be
-    positive.
+    positive, and endpoint_draws at least 2 (their spread is in the CI).
     """
     if not s > 0:
         raise ConfigurationError(f"semigroup_s must be positive, not {s!r}")
+    if endpoint_draws < 2:
+        raise ConfigurationError(f"endpoint_draws must be at least 2, not {endpoint_draws!r}")
     ends = run_frozen_batch(model, x, y, horizon=s, delta=delta,
                             n_chains=endpoint_draws,
                             stream=stream.child("endpoints"))["terminal_fast"]
@@ -702,7 +715,7 @@ def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
     mean_end = vals.mean(axis=0)
     se_end = vals.std(axis=0, ddof=1) / np.sqrt(endpoint_draws)
 
-    curve = MeanCurve(lambda st: model.slow_drift(st["x"], st["y"]))
+    curve = _drift_curve(model)
     run_frozen_batch(model, x, y, horizon=s, delta=delta,
                      n_chains=4 * n_traj, stream=stream.child("short"),
                      watchers=(curve,))

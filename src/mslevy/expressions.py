@@ -34,23 +34,7 @@ _FUNCS = {
     "abs": np.abs,
 }
 
-_MAX_INT_POW = 8
-
-
-def _pow(base, exponent):
-    # integer powers unrolled to repeated multiplication: np.power on a
-    # float64 array with an integer exponent is an order of magnitude
-    # slower than chained multiplies on some BLAS/libm builds.
-    if isinstance(exponent, (int, float)) and float(exponent).is_integer():
-        k = int(exponent)
-        if 0 <= k <= _MAX_INT_POW:
-            out = 1.0 if k == 0 else base
-            for _ in range(k - 1):
-                out = out * base
-            return out
-        if -_MAX_INT_POW <= k < 0:
-            return 1.0 / _pow(base, -k)
-    return np.power(base, exponent)
+_MAX_INT_POW = 8        # larger integer exponents go to np.power
 
 
 # every name a compiled expression sees, besides its variables and literals
@@ -58,7 +42,6 @@ _NAMESPACE = {
     "__builtins__": {},
     "_asarray": np.asarray,
     "_float": float,
-    "_pow": _pow,
     "_power": np.power,
     **{f"_{fn.__name__}": fn for fn in (*_BINOPS.values(), *_FUNCS.values())},
 }
@@ -73,15 +56,16 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     The expression is checked against the grammar and compiled once, to
     one Python function of straight-line NumPy calls: one statement per
     operation, in the order a tree walk would make them (left operand
-    first), each intermediate dropped after its one use. So the function
+    first), each intermediate dropped after its last use. So the function
     has no nesting limit, holds no more arrays than a nested call would,
     and folds no constant. Literals and the grammar's functions are the
-    only names it sees.
+    only names it sees. A literal integer exponent k in 1..8 makes
+    k - 1 multiplies by the base, left to right, exponent 0 the float
+    literal 1.0, and any other literal exponent one np.power call.
 
     The same pass splits the function for a run whose slow state x stays
     fixed. A statement is slow-only when its operands are x, literals or
-    slow-only results, at least one of them not a literal, and it is no
-    power with exponent 0 (whose value is the float 1.0). Then
+    slow-only results, at least one of them not a literal. Then
     `fn.prelude(env)` makes the slow-only statements from env["x"] and
     returns the results that the other statements read, by name, and
     `fn.step(env)` makes the other statements, in the same order,
@@ -116,20 +100,25 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         literals[name] = value
         return name
 
-    def apply(fn: str, *args: str, zero_power=False) -> str:
+    def apply(fn: str, *args: str) -> str:
         """A new temporary holding fn(*args)."""
         name = f"_t{len(statements)}"
         statements.append((name, fn, args))
-        if (not zero_power and any(a in slow for a in args)
+        if (any(a in slow for a in args)
                 and all(a in slow or a in literals for a in args)):
             slow.add(name)
         return name
 
     def power(base: str, exponent: ast.Constant) -> str:
         value = number(exponent)
-        # _pow gives the float 1.0, not a per-row array, for an exponent 0
-        zero = float(value).is_integer() and int(value) == 0
-        return apply("_pow", base, literal(value), zero_power=zero)
+        if not (0 <= value <= _MAX_INT_POW and value == int(value)):
+            return apply("_power", base, literal(value))
+        if value == 0:
+            return literal(1.0)     # the float 1.0, not a per-row array
+        product = base
+        for _ in range(int(value) - 1):
+            product = apply("_multiply", product, base)
+        return product
 
     def emit(node: ast.AST) -> str:
         """The name holding `node`'s value, after the statements that compute it."""
@@ -204,12 +193,14 @@ def compile_expression(text: str, variables: tuple[str, ...]):
 
 def _function(name, reads, statements, returns):
     """Source lines of function `name(env)`: it reads the names `reads`
-    from env, makes `statements`, dropping each temporary after its one
-    read, and returns `returns`."""
+    from env, makes `statements`, dropping each temporary after its last
+    read (a power's base is read once per multiply), and returns
+    `returns`."""
     lines = [f"def {name}(env):", *(f'    {n} = env["{n}"]' for n in reads)]
-    for target, fn, args in statements:
+    last = {a: i for i, (_, _, args) in enumerate(statements) for a in args}
+    for i, (target, fn, args) in enumerate(statements):
         lines.append(f"    {target} = {fn}({', '.join(args)})")
-        dead = [a for a in args if a.startswith("_t")]
+        dead = [a for a in dict.fromkeys(args) if a.startswith("_t") and last[a] == i]
         if dead:
             lines.append(f"    del {', '.join(dead)}")
     lines.append(f"    return {returns}")

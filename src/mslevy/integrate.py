@@ -155,23 +155,6 @@ class PathSample:
                 raise AssertionError("state rows must match the grid")
         return self
 
-    def replay_jumps(self, model: ModelSpec) -> bool:
-        """Re-evaluate every logged event through the coefficient maps.
-
-        True iff each logged post-state equals pre + jump_map(pre, mark)
-        bit for bit (the same arithmetic the stepper performed).
-        """
-        for ev in self.events:
-            z = np.array([ev.mark])
-            if ev.channel == "slow":
-                inc = model.slow_jump(ev.pre[None, :], z)[0]
-            else:
-                x = ev.context["x"][None, :] if "x" in ev.context else ev.pre[None, :]
-                inc = model.fast_jump(x, ev.pre[None, :], z)[0]
-            if not np.array_equal(ev.post, ev.pre + inc):
-                return False
-        return True
-
 
 def _norm(v: np.ndarray) -> np.ndarray:
     if v.shape[1] == 1:
@@ -263,6 +246,8 @@ def _stream_blocks(stream, n_paths: int, cfg: StepperConfig) -> list[tuple]:
     """`stream` as (RngStream, n_paths, cfg) blocks that cover the batch;
     a block's cfg is its own multi-rate config, or else the run's."""
     if isinstance(stream, RngStream):
+        if n_paths < 1:
+            raise ConfigurationError(f"a run needs at least one path, not {n_paths}")
         return [(stream, n_paths, cfg)]
     blocks = [(b[0], int(b[1]), b[2] if len(b) > 2 else cfg) for b in stream]
     if not blocks or any(n < 1 for _, n, _ in blocks):

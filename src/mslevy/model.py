@@ -387,7 +387,7 @@ def fast_coefficients(model: ModelSpec, frozen: bool = False):
     for key, marks in (("fast_drift", False), ("fast_diffusion", False),
                        ("fast_jump", True)):
         fn = getattr(model, key)
-        part, bind, keys = _frozen(fn, key, marks) if frozen else (None, None, ())
+        part, bind, keys = _frozen(fn, key) if frozen else (None, None, ())
         if part is None:
             bind = _plain_bind(fn, marks)
         else:
@@ -407,11 +407,12 @@ def _plain_bind(fn, marks):
     return lambda name: lambda sub: fn(sub["x"], sub[name])
 
 
-def _frozen(fn, key, marks):
-    """(part, bind, keys) of fast coefficient `fn` in a frozen run:
-    part(x) maps keys that start with `key` to fn's per-row arrays, bind
-    is as in `fast_coefficients`, and its closures read the prelude
-    `keys`; (None, None, ()) when fn does not split."""
+def _frozen(fn, key):
+    """(part, bind, keys) of coefficient `fn` in a frozen run: part(x)
+    maps keys that start with `key` to fn's per-row arrays, bind is as
+    in `fast_coefficients` (bind(name) reads that state as y), and its
+    closures read the prelude `keys`; (None, None, ()) when fn does not
+    split."""
     evaluate = getattr(fn, "expression", None)
     if getattr(evaluate, "step", None) is None:
         return None, None, ()
@@ -422,9 +423,7 @@ def _frozen(fn, key, marks):
             out = evaluate({"x": x[:, 0]})
             return {key: (out if out.ndim else np.full(len(x), float(out)))[expand]}
 
-        if marks:
-            return whole, lambda name: lambda sub, z: sub[key], (key,)
-        return whole, lambda name: lambda sub: sub[key], (key,)
+        return whole, lambda name: lambda sub, *z: sub[key], (key,)
 
     prelude, step = evaluate.prelude, evaluate.step
     slow = [(n, f"{key}.{n}") for n in evaluate.slow]

@@ -51,11 +51,17 @@ class MeanCurve:
     kept per block: `curve(j)` and `point_se(j)` read block j, with the
     values a separate run of that block alone would give. `integral`
     stays per path.
+
+    With `prelude`, the arrays that prelude(states) maps names to at
+    t = 0 join the states fn reads (a frozen run's slow-only parts). A
+    block's mean and spread are its rows' mean and the norm of their
+    np.std, bit for bit, with the mean taken once (`_stats`).
     """
 
-    def __init__(self, fn, blocks: int = 1):
+    def __init__(self, fn, blocks: int = 1, prelude=None):
         self.fn = fn
         self.blocks = int(blocks)
+        self.prelude = prelude
         self.times: list[float] = []
         self.means: list[np.ndarray] = []       # (blocks, n) per point
         self.spreads: list[np.ndarray] = []     # (blocks,) per point
@@ -64,13 +70,20 @@ class MeanCurve:
 
     def _stats(self, val):
         per = val.reshape(self.blocks, -1, val.shape[1])
-        std = per.std(axis=1)
+        # the operations of np.mean and np.std, with one sum for the mean
+        mean = per.sum(axis=1) / per.shape[1]
+        dev = per - mean[:, None]
+        dev *= dev
+        std = np.sqrt(dev.sum(axis=1) / per.shape[1])
         # vecdot is the dot product np.linalg.norm takes of one block's
         # std vector; norm(axis=1) sums the squares in another order
-        return per.mean(axis=1), np.sqrt(np.vecdot(std, std))
+        return mean, np.sqrt(np.vecdot(std, std))
 
     def start(self, states):
-        first = np.asarray(self.fn(states))
+        fn, made = self.fn, self.prelude(states) if self.prelude else None
+        # a closure over fn, not self: no cycle keeps the curve alive
+        self._fn = fn if made is None else (lambda st: fn({**st, **made}))
+        first = np.asarray(self._fn(states))
         mean, spread = self._stats(first)
         self.times = [0.0]
         self.means = [mean]
@@ -79,7 +92,7 @@ class MeanCurve:
         self.integral = np.zeros_like(first)
 
     def observe(self, step, t, states):
-        val = np.asarray(self.fn(states))
+        val = np.asarray(self._fn(states))
         dt = t - self.times[-1]
         self.integral += 0.5 * dt * (self._prev + val)
         self._prev = val

@@ -135,3 +135,27 @@ def test_a_model_wrapped_as_the_tracer_wraps_it_runs_the_same_bytes(tracer):
         fn = getattr(spec, coef)
         object.__setattr__(spec, coef, lambda *args, fn=fn: fn(*args))
     assert run(spec) == run(original)
+
+
+def test_a_traced_model_runs_the_cells_of_the_split_path(tracer):
+    # the tracer's leaves hide the slow drift's expression split, so the
+    # traced cells evaluate b whole on every step: same bytes, no split
+    original = model.model_from_config({
+        "b": "-pow(x,3)+x+pow(y,3)", "sigma": "x", "f": "sin(x)-y-pow(y,5)",
+        "g": "1"})
+    spec = copy.copy(original)
+    trace = tracer.Tracer()
+    for coef in tracer._COEFFICIENTS:
+        object.__setattr__(spec, coef, trace.leaf(f"model.{coef}", getattr(spec, coef)))
+    assert ergodic._drift_curve(original).prelude is not None
+    assert ergodic._drift_curve(spec).prelude is None
+
+    def cells(m):
+        out = ergodic.poisson_cells(
+            m, 0.4, [1.0, -0.5], t_cut=1.0, n_traj=32, delta=2**-6, avg_b=0.5,
+            streams=[rng.RngStream(6, i) for i in range(2)])
+        return [np.asarray(getattr(c, f.name), dtype=float).tobytes()
+                for c in out for f in dataclasses.fields(c)]
+
+    assert cells(spec) == cells(original)
+    assert trace.leaves        # the wrapped coefficients did run

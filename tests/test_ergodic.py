@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 from types import SimpleNamespace
@@ -29,8 +30,15 @@ from mslevy.ergodic import (
     poisson_cell,
     poisson_cells,
     save_averaged_table,
+    semigroup_identity_check,
 )
-from mslevy.model import ModelSpec, example_2_7, example_2_8, scalar_model
+from mslevy.model import (
+    ModelSpec,
+    example_2_7,
+    example_2_8,
+    model_from_config,
+    scalar_model,
+)
 from mslevy.observers import MeanCurve
 from mslevy.rng import JumpMeasureSpec, RngStream, Uniform, default_jump_measure
 
@@ -560,6 +568,54 @@ class TestPoissonCells:
                          avg_b=0.7, stream=RngStream(122))
 
 
+class TestSemigroupIdentity:
+    @pytest.mark.parametrize("draws", [1, 0])
+    def test_fewer_than_two_endpoint_draws_are_refused_before_any_run(
+            self, monkeypatch, draws):
+        # one draw has no spread for the CI, and none has no mean at all
+        def no_run(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(ergodic, "run_frozen_batch", no_run)
+        with pytest.raises(ConfigurationError,
+                           match=f"endpoint_draws must be at least 2, not {draws}"):
+            semigroup_identity_check(jump_ou(), 0.0, 1.0, s=0.25, t_cut=1.0,
+                                     n_traj=8, endpoint_draws=draws, delta=2**-6,
+                                     avg_b=0.7, avg_b_ci=0.0, stream=RngStream(123))
+
+    def test_expression_drift_splits_and_callable_drift_does_not(self):
+        # a frozen run's mean curve makes the x-only part of b once per run
+        assert ergodic._drift_curve(model_from_config(_CUBIC_POW)).prelude is not None
+        assert ergodic._drift_curve(jump_ou()).prelude is None
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308,
+                            5e-324, 1e154, -1e-300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 600), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), _SPECIAL),
+                         max_size=12),
+       scale=st.sampled_from([1.0, 1e-300, 1e150, 1e300]))
+def test_mean_curve_stats_equal_numpy_mean_and_std(shape, seed, specials, scale):
+    # one sum for the mean, the spread built from it as np.std does
+    blocks, rows, dim = shape
+    val = np.random.default_rng(seed).standard_normal((blocks * rows, dim)) * scale
+    flat = val.reshape(-1)
+    for at, value in specials:
+        flat[int(at * flat.size)] = value
+    with np.errstate(all="ignore"):
+        mean, spread = MeanCurve(None, blocks=blocks)._stats(val)
+        per = val.reshape(blocks, rows, dim)
+        std = per.std(axis=1)
+        want_mean, want_spread = per.mean(axis=1), np.sqrt(np.vecdot(std, std))
+    assert mean.shape == want_mean.shape and spread.shape == want_spread.shape
+    assert mean.tobytes() == want_mean.tobytes()
+    assert spread.tobytes() == want_spread.tobytes()
+
+
 class _PlainMeans:
     """Cross-path mean and standard error of fn(states) (one value per
     path) at t = 0 and after every micro step, in plain NumPy."""
@@ -715,3 +771,71 @@ class TestTableDefaults:
         # pilot decay rate for f = -y is ~2, so burn ~ 5/2 and horizon ~ 100/2
         assert 1.5 <= table.meta["burn_in"] <= 4.0
         assert 30.0 <= table.meta["horizon"] <= 70.0
+
+
+# the expression model of the corrector workload: pow literals, no jumps
+_CUBIC_POW = {
+    "b": "-pow(x,3)+x+pow(y,3)", "sigma": "x", "f": "sin(x)-y-pow(y,5)", "g": "1",
+    "nu1": {"intensity": 0.0, "size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}},
+    "nu2": {"intensity": 0.0, "size": {"kind": "uniform", "lo": -0.5, "hi": 0.5}},
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(np.asarray(a, dtype=float)).tobytes())
+    return h.hexdigest()
+
+
+def _golden_cells(case):
+    """One small fixed-seed corrector-path result per case whose bytes are pinned."""
+    streams = [RngStream(180, i) for i in range(3)]
+    kw = dict(t_cut=2.0, n_traj=64, delta=2**-6, avg_b=0.5, avg_b_ci=0.01,
+              streams=streams)
+    if case == "semigroup":
+        res = semigroup_identity_check(
+            model_from_config(_CUBIC_POW), 0.4, 1.0, s=0.25, t_cut=2.0, n_traj=64,
+            endpoint_draws=4, delta=2**-6, avg_b=0.5, avg_b_ci=0.01,
+            stream=RngStream(181))
+        return _digest([res[k] for k in ("lhs", "rhs", "gap", "ci", "pass")])
+    if case == "mean-curve":
+        gen = np.random.default_rng(182)
+        curve = MeanCurve(lambda st: st["v"], blocks=3)
+        curve.start({"v": gen.standard_normal((3 * 17, 2))})
+        for k in range(12):
+            curve.observe(k, 0.125 * (k + 1), {"v": gen.standard_normal((3 * 17, 2))})
+        return _digest(curve.times, curve.means, curve.spreads, curve.integral)
+    if case == "cells-pow-expression":
+        model = model_from_config(_CUBIC_POW)
+    elif case == "cells-example-2-7":
+        model = example_2_7("state_linear")
+    else:
+        # plain callables: a frozen run takes them without a split
+        model = scalar_model("callable", b=lambda x, y: -x * x * x + x + y * y * y,
+                             sigma=1.0, f=lambda x, y: np.sin(x) - y - y ** 5, g=1.0)
+    cells = poisson_cells(model, 0.4, [1.0, -0.5, 2.0], **kw)
+    return _digest(*(getattr(c, f) for c in cells
+                     for f in ("value", "ci", "times", "gap", "gap_ci")))
+
+
+class TestCellGoldenBytes:
+    # digests recorded before the corrector path's pow literals compiled to
+    # multiplies and its mean curve took the frozen split; a change that
+    # moves one changed the arithmetic (NumPy 2.4.6, x86-64)
+    GOLDEN = {
+        "cells-pow-expression":
+            "94d2ec97a9f6273814ce3bf37a9dfb72816966bb475f74736987c62238f0c805",
+        "cells-example-2-7":
+            "a03da4a582e335866d01125a864907073bd28ca7fa9ba9051217e0b84f54d3cc",
+        "cells-callable":
+            "bee77c95087c65b00e345165874f768bc1918ac2380c2f01d65fa625e0dde774",
+        "semigroup":
+            "20acc2d1d106f1b66fdd16ea8ca8a71093652491c40c27997f6cdbcc4d0d7556",
+        "mean-curve":
+            "ac2dcfba17f59ad94fb2070fab74b1d339233fcdc741f6f8db60a3896a7868a1",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_cell_bytes_are_pinned(self, case):
+        assert _golden_cells(case) == self.GOLDEN[case]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mslevy.errors import ConfigurationError
-from mslevy.expressions import _pow, compile_expression
+from mslevy.expressions import compile_expression
 
 
 def test_unicode_operators_normalized():
@@ -105,9 +105,23 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "arctan": np.arctan, "exp": np.exp,
           "abs": np.abs}
 
 
+def _loop_pow(base, exponent):
+    """A literal power as a loop: for an integer exponent k in 0..8, the
+    float 1.0 (k = 0) or base multiplied by itself left to right; any
+    other exponent goes to np.power."""
+    if isinstance(exponent, (int, float)) and float(exponent).is_integer():
+        k = int(exponent)
+        if 0 <= k <= 8:
+            out = 1.0 if k == 0 else base
+            for _ in range(k - 1):
+                out = out * base
+            return out
+    return np.power(base, exponent)
+
+
 def _walk(node, env):
     """Tree-walk evaluation of a grammar AST, making the NumPy calls of
-    the grammar in operand order (the unrolled integer power is shared)."""
+    the grammar in operand order."""
     if isinstance(node, ast.Expression):
         return _walk(node.body, env)
     if isinstance(node, ast.Constant):
@@ -119,18 +133,19 @@ def _walk(node, env):
         return -value if isinstance(node.op, ast.USub) else value
     if isinstance(node, ast.BinOp):
         if isinstance(node.op, ast.Pow):
-            return _pow(_walk(node.left, env), node.right.value)
+            return _loop_pow(_walk(node.left, env), node.right.value)
         return _BINOPS[type(node.op)](_walk(node.left, env), _walk(node.right, env))
     if node.func.id == "pow":
         base, expo = node.args
         if isinstance(expo, ast.Constant):
-            return _pow(_walk(base, env), expo.value)
+            return _loop_pow(_walk(base, env), expo.value)
         return np.power(_walk(base, env), _walk(expo, env))
     return _FUNCS[node.func.id](_walk(node.args[0], env))
 
 
 _LITERALS = ["0", "1", "2.5", "0.5", "3", "1e-300", "1e300", "1e400"]
-_EXPONENTS = ["0", "1", "2", "3", "5", "8", "9", "0.5", "2.0", "1e400"]
+_EXPONENTS = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "0.5", "2.0",
+              "1e400"]
 
 
 def _grammar_expressions():
