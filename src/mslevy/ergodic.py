@@ -605,10 +605,7 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
     DecayFitError, and a blow-up names its cell.
     """
     k = len(ys)
-    if t_cut <= 0:
-        raise ConfigurationError("t_cut must be positive")
-    if n_traj < 2:
-        raise ConfigurationError("a corrector CI needs n_traj >= 2")
+    _check_cells(t_cut, n_traj)
     if not 0 < k == len(streams):
         raise ConfigurationError(
             f"need one stream per fast start, not {k} starts and "
@@ -628,6 +625,14 @@ def poisson_cells(model: ModelSpec, x, ys, *, t_cut: float, n_traj: int,
     per_path = curve.integral.reshape(k, n_traj, -1)
     return [_cell(curve, j, per_path[j], avg_b, avg_b_ci, t_cut)
             for j in range(k)]
+
+
+def _check_cells(t_cut, n_traj):
+    """Refuse a cell horizon or trajectory count no cell run can use."""
+    if t_cut <= 0:
+        raise ConfigurationError("t_cut must be positive")
+    if n_traj < 2:
+        raise ConfigurationError("a corrector CI needs n_traj >= 2")
 
 
 def _drift_curve(model, blocks=1) -> MeanCurve:
@@ -696,12 +701,15 @@ def semigroup_identity_check(model, x, y, *, s, t_cut, n_traj, endpoint_draws,
     The right side is a fresh short-horizon run; the left side averages
     corrector estimates over endpoint draws, so the identity is tested
     without assuming it. The shift s (a config's semigroup_s) must be
-    positive, and endpoint_draws at least 2 (their spread is in the CI).
+    positive, and endpoint_draws at least 2 (their spread is in the CI);
+    the cells' t_cut and n_traj are checked as `poisson_cells` checks
+    them, all before any run.
     """
     if not s > 0:
         raise ConfigurationError(f"semigroup_s must be positive, not {s!r}")
     if endpoint_draws < 2:
         raise ConfigurationError(f"endpoint_draws must be at least 2, not {endpoint_draws!r}")
+    _check_cells(t_cut, n_traj)
     ends = run_frozen_batch(model, x, y, horizon=s, delta=delta,
                             n_chains=endpoint_draws,
                             stream=stream.child("endpoints"))["terminal_fast"]

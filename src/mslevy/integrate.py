@@ -53,10 +53,16 @@ under superlinear monotone drifts; diffusion increments use the actual
 elapsed sub-interval lengths (increments are generated forward, so no
 bridge construction is needed); compensated jump measures contribute a
 deterministic drift correction between events and the raw jump map at
-events. Event times are exact draws of the constant-rate Poisson streams,
-inserted into the micro grid path by path. A run draws them once, into a
-schedule of rounds: round r of a step holds the (r+1)-th event of every
-path that has that many in the step, in order of path. A step that no
+events. Each Wiener key draws into one (n_paths, dim) buffer, allocated
+once per run: an advance of k rows fills its first k rows, block by
+block, and reads them only into a new scaled product dw. A diffusion
+marked constant (an expression that reads no variable, such as g = "1";
+see `model._coefficient`) is never called: its increment is dw itself
+at 1 and c * dw otherwise, the bits of the matrix product with a per-row
+array of c. Event times are exact draws of the constant-rate Poisson
+streams, inserted into the micro grid path by path. A run draws them
+once, into a schedule of rounds: round r of a step holds the (r+1)-th
+event of every path that has that many in the step, in order of path. A step that no
 event splits advances every active row by one scalar step in a
 single-rate run (IEEE arithmetic on a broadcast scalar gives the bits of
 a filled array), and by one step per row in a multi-rate run. A step
@@ -67,13 +73,15 @@ their next event, or to the step's end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
 from .model import ModelSpec, fast_coefficients
-from .rng import JumpMeasureSpec, RngStream, _mark_affine, sample_jump_times_batch
+from .rng import (JumpMeasureSpec, RngStream, _mark_affine, _sort_by_digits,
+                  _time_order, sample_jump_times_batch)
 
 __all__ = [
     "StepperConfig",
@@ -188,7 +196,10 @@ class _Component:
     drift: object
     diffusion: object
     wiener: str
-    time_scale: object      # a float, or one value per row (multi-rate)
+    scale: int              # its time scale's index in _Kernel.scales
+    # the diffusion's constant mark (a float c: the increment is c * dw,
+    # and the diffusion is never called), or None
+    constant: object = None
     compensator: object = None
     # components on one Wiener key at one float time scale (x and its
     # twin xt) share one scaled draw: the group's key in an advance's
@@ -289,7 +300,10 @@ class _Kernel:
         self.states: dict[str, np.ndarray] = {}
         self.derive = None          # add_derived's function, or None
         self.derived: tuple[str, ...] = ()
-        self.wiener: dict[str, tuple[int, list[np.random.Generator]]] = {}
+        # per Wiener key: its (n_paths, dim) draw buffer, the blocks'
+        # generators, and the buffer's block rows for a full advance
+        self.wiener: dict[str, tuple[np.ndarray, list, list]] = {}
+        self.scales: list = []      # the components' distinct time scales
         self._on_advance = []       # the run's observer hooks
         self._on_jump = []
 
@@ -309,18 +323,26 @@ class _Kernel:
         self.states[name] = _init_state(init, dim, self.n_paths)
         if np.ndim(time_scale) == 0:
             time_scale = float(time_scale)
-        comp = _Component(name, dim, drift, diffusion, wiener, time_scale)
+        scale = next((i for i, v in enumerate(self.scales)
+                      if type(v) is type(time_scale) and np.array_equal(v, time_scale)),
+                     len(self.scales))
+        if scale == len(self.scales):
+            self.scales.append(time_scale)
+        comp = _Component(name, dim, drift, diffusion, wiener, scale,
+                          getattr(diffusion, "constant", None))
         if type(time_scale) is float:
-            lead = next((c for c in self.components if c.wiener == wiener
-                         and type(c.time_scale) is float
-                         and c.time_scale == time_scale), None)
+            lead = next((c for c in self.components
+                         if c.wiener == wiener and c.scale == scale), None)
             if lead is not None:
-                lead.noise = comp.noise = (wiener, time_scale)
+                lead.noise = comp.noise = (wiener, scale)
                 lead.lead = True
         self.components.append(comp)
         if wiener not in self.wiener:
             gens = [b[0].child(f"wiener:{wiener}").generator() for b in self.blocks]
-            self.wiener[wiener] = (int(wiener_dim), gens)
+            buf = np.empty((self.n_paths, int(wiener_dim)))
+            views = ([buf] if len(gens) == 1 else
+                     [buf[lo:hi] for lo, hi in zip(self.bounds[:-1], self.bounds[1:])])
+            self.wiener[wiener] = (buf, gens, views)
 
     def add_derived(self, derive):
         """Per-row arrays derive(states) -> {name: array}, made once from the
@@ -404,42 +426,65 @@ class _Kernel:
                 k = len(idx)
                 rows = np.searchsorted(idx, self.bounds).tolist()
         self._rows = rows
+        # each key's draws fill the first k rows of its buffer, block by
+        # block; the buffer is only read here, into a new product dw
         draws = {}
-        for key, (dim, gens) in self.wiener.items():
-            buf = np.empty((k, dim))
-            for gen, lo, hi in zip(gens, rows[:-1], rows[1:]):
-                if hi > lo:
-                    gen.standard_normal(out=buf[lo:hi])
-            draws[key] = buf
-        out = {}
-        for comp in self.components:
-            s = sub[comp.name]
-            scale = comp.time_scale
+        for key, (buf, gens, views) in self.wiener.items():
+            if idx is None:
+                for gen, view in zip(gens, views):
+                    gen.standard_normal(out=view)
+                draws[key] = buf
+            else:
+                for gen, lo, hi in zip(gens, rows[:-1], rows[1:]):
+                    if hi > lo:
+                        gen.standard_normal(out=buf[lo:hi])
+                draws[key] = buf[:k]
+        # per time scale: the step (a float, or one per row), its column
+        # and its root (math.sqrt of a float step has np.sqrt's bits)
+        steps = []
+        for scale in self.scales:
             if type(scale) is not float:
                 dte = dt * (scale if idx is None else scale[idx])
             elif scale == 1.0:
                 dte = dt        # the bits of dt * 1.0
             else:
                 dte = dt * scale
-            col = dte if isinstance(dte, float) else dte[:, None]
+            if isinstance(dte, float):
+                steps.append((dte, dte, math.sqrt(dte)))
+            else:
+                col = dte[:, None]
+                steps.append((dte, col, np.sqrt(col)))
+        out = {}
+        for comp in self.components:
+            s = sub[comp.name]
+            dte, col, root = steps[comp.scale]
             d = np.asarray(comp.drift(sub))
             if self.scheme == "tamed_euler":
-                fac = dte / (1.0 + dte * _norm(d))
-                inc = d * fac[:, None]
+                if comp.dim == 1:
+                    # |d| is the norm of a scalar component's row
+                    inc = d * (col / (1.0 + col * np.abs(d)))
+                else:
+                    fac = dte / (1.0 + dte * _norm(d))
+                    inc = d * fac[:, None]
             elif self.scheme == "split_step_implicit":
                 inc = _implicit_increment(comp, sub, s, col)
             else:
                 inc = d * col
             if comp.compensator is not None:
                 inc = inc - comp.compensator(sub) * col
-            g = np.asarray(comp.diffusion(sub))
             if comp.noise is None:
-                dw = draws[comp.wiener] * np.sqrt(col)
+                dw = draws[comp.wiener] * root
             elif comp.lead:
-                dw = draws[comp.noise] = draws[comp.wiener] * np.sqrt(col)
+                dw = draws[comp.noise] = draws[comp.wiener] * root
             else:
                 dw = draws[comp.noise]
-            inc = inc + _matvec(g, dw)
+            c = comp.constant
+            if c is None:
+                inc = inc + _matvec(np.asarray(comp.diffusion(sub)), dw)
+            elif c == 1.0:
+                inc = inc + dw      # the bits of 1.0 * dw
+            else:
+                inc = inc + c * dw
             out[comp.name] = s + inc
         if idx is None:
             for n, v in out.items():
@@ -521,14 +566,17 @@ class _Kernel:
                 arr[:] = spare
 
         if channels > 1:
-            reorder(np.lexsort((times, path)))      # merge the channels
+            # merge the channels: order by time, then stably by path
+            reorder(_time_order(times))
+            _sort_by_digits(path, reorder)
         # each event's rank in its (path, step) run, then the stable order
         # by (step, rank), in which a round's paths ascend
         new = np.ones(total, dtype=bool)
         new[1:] = (step[1:] != step[:-1]) | (path[1:] != path[:-1])
         rank = np.arange(total, dtype=np.int32)
         rank -= np.maximum.accumulate(np.where(new, rank, 0))
-        reorder(np.lexsort((rank, step)), rank)
+        for key in (rank, step):
+            _sort_by_digits(key, lambda order: reorder(order, rank))
         new[1:] = (step[1:] != step[:-1]) | (rank[1:] != rank[:-1])
         first = np.flatnonzero(new)
         steps = np.searchsorted(step[first], np.arange(self.n_steps + 1)).tolist()
@@ -752,12 +800,16 @@ def _slow_jump_fn(model, name):
 
 
 def _add_slow(kernel: _Kernel, model: ModelSpec, name, x0, drift):
-    """A slow component on W1 with `drift`, diffusing as the model's x."""
-    kernel.add_component(
-        name, model.dim_slow, x0, drift=drift,
-        diffusion=lambda sub: model.slow_diffusion(sub[name], sub["y"]),
-        wiener="w1", wiener_dim=model.dw_slow,
-    )
+    """A slow component on W1 with `drift`, diffusing as the model's x
+    (with the slow diffusion's constant mark, if it has one)."""
+    sigma = model.slow_diffusion
+
+    def diffusion(sub):
+        return sigma(sub[name], sub["y"])
+
+    diffusion.constant = getattr(sigma, "constant", None)
+    kernel.add_component(name, model.dim_slow, x0, drift=drift, diffusion=diffusion,
+                         wiener="w1", wiener_dim=model.dw_slow)
 
 
 def _fast_half(kernel: _Kernel, model: ModelSpec, y0s, binds, reads):
@@ -959,12 +1011,13 @@ def _drive(build, cfg: StepperConfig, n_paths, stream, *, outputs, paths=None,
         raise ConfigurationError("watchers need blocks of one step")
     extra = build(kernel) or {}
     names = [c.name for c in kernel.components]
-    snaps = _Checkpoints(kernel.checkpoint_steps(checkpoints), names)
+    steps = kernel.checkpoint_steps(checkpoints)
+    snaps = _Checkpoints(steps, names) if steps else None
     tracker = _PairSup(*sup) if sup is not None else None
     recorder = _PathRecorder(names, kernel.derived) if record else None
     kernel.run([w for w in (*watchers, snaps, tracker, recorder) if w is not None])
     out = {key: kernel.states[name].copy() for key, name in outputs.items()}
-    out["checkpoints"] = snaps.snapshots
+    out["checkpoints"] = snaps.snapshots if snaps is not None else {}
     if tracker is not None:
         out["sup"] = tracker.value
     if recorder is not None:

@@ -300,7 +300,10 @@ def _coefficient(evaluate, variables, trailing):
     in the batch convention, in one closure: states arrive as (paths, 1)
     columns and marks as a flat array, and the flat value gains
     `trailing` unit dimensions (a constant value is broadcast over the
-    batch). `fast_coefficients` splits it for frozen runs."""
+    batch). `fast_coefficients` splits it for frozen runs. Its `constant`
+    is the finite float value of an expression that reads no variable
+    (`g = "1"`), which the kernel adds as a diffusion without calling
+    it; else None."""
     expand = (slice(None),) + (None,) * trailing
     if variables == ("x", "z"):
         def coefficient(x, z):
@@ -315,6 +318,12 @@ def _coefficient(evaluate, variables, trailing):
             out = evaluate({"x": x[:, 0], "y": y[:, 0]})
             return (out if out.ndim else np.full(len(x), float(out)))[expand]
     coefficient.expression, coefficient.expand = evaluate, expand
+    coefficient.constant = None
+    if getattr(evaluate, "used", None) == ():
+        with np.errstate(all="ignore"):
+            value = float(evaluate({}))
+        if np.isfinite(value):
+            coefficient.constant = value
     return coefficient
 
 
@@ -382,12 +391,18 @@ def fast_coefficients(model: ModelSpec, frozen: bool = False):
     them from `sub`. A coefficient whose value reads no fast state and no
     mark is its per-row array. Other callables, and every coefficient of
     a run whose x moves, have no prelude and bind to plain closures.
+
+    A diffusion with a `constant` (`_coefficient`) has no prelude in any
+    run: its plain closures carry the mark, so the kernel adds c * dw
+    without calling them.
     """
     parts, binds, reads = [], [], []
     for key, marks in (("fast_drift", False), ("fast_diffusion", False),
                        ("fast_jump", True)):
         fn = getattr(model, key)
-        part, bind, keys = _frozen(fn, key) if frozen else (None, None, ())
+        split = frozen and (key != "fast_diffusion"
+                            or getattr(fn, "constant", None) is None)
+        part, bind, keys = _frozen(fn, key) if split else (None, None, ())
         if part is None:
             bind = _plain_bind(fn, marks)
         else:
@@ -404,7 +419,14 @@ def fast_coefficients(model: ModelSpec, frozen: bool = False):
 def _plain_bind(fn, marks):
     if marks:
         return lambda name: lambda sub, z: fn(sub["x"], sub[name], z)
-    return lambda name: lambda sub: fn(sub["x"], sub[name])
+
+    def bind(name):
+        def closure(sub):
+            return fn(sub["x"], sub[name])
+        closure.constant = getattr(fn, "constant", None)
+        return closure
+
+    return bind
 
 
 def _frozen(fn, key):

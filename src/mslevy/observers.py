@@ -55,7 +55,9 @@ class MeanCurve:
     With `prelude`, the arrays that prelude(states) maps names to at
     t = 0 join the states fn reads (a frozen run's slow-only parts). A
     block's mean and spread are its rows' mean and the norm of their
-    np.std, bit for bit, with the mean taken once (`_stats`).
+    np.std, bit for bit, with the mean taken once (`_stats`). The
+    per-point lists are stacked once, on the first read after the last
+    point, into read-only arrays that every block's reads share.
     """
 
     def __init__(self, fn, blocks: int = 1, prelude=None):
@@ -67,6 +69,7 @@ class MeanCurve:
         self.spreads: list[np.ndarray] = []     # (blocks,) per point
         self._prev = None
         self.integral = None
+        self._stacked = None    # (times, means, spreads) as arrays
 
     def _stats(self, val):
         per = val.reshape(self.blocks, -1, val.shape[1])
@@ -86,6 +89,7 @@ class MeanCurve:
         first = np.asarray(self._fn(states))
         mean, spread = self._stats(first)
         self.times = [0.0]
+        self._stacked = None
         self.means = [mean]
         self.spreads = [spread]
         self._prev = first
@@ -101,13 +105,22 @@ class MeanCurve:
         self.means.append(mean)
         self.spreads.append(spread)
 
+    def _arrays(self):
+        if self._stacked is None or len(self._stacked[0]) != len(self.times):
+            self._stacked = tuple(np.asarray(v) for v in
+                                  (self.times, self.means, self.spreads))
+            for arr in self._stacked:
+                arr.flags.writeable = False
+        return self._stacked
+
     def curve(self, block: int = 0):
-        return np.asarray(self.times), np.asarray(self.means)[:, block]
+        times, means, _ = self._arrays()
+        return times, means[:, block]
 
     def point_se(self, block: int = 0) -> np.ndarray:
         """Cross-path standard error of each mean-curve point of a block."""
         n = self._prev.shape[0] // self.blocks
-        return np.asarray(self.spreads)[:, block] / np.sqrt(n)
+        return self._arrays()[2][:, block] / np.sqrt(n)
 
 
 class PathwiseSup:

@@ -271,5 +271,39 @@ def sample_jump_times_batch(
     total = int(counts.sum())
     times = gen.uniform(0.0, horizon, total)
     paths = np.repeat(np.arange(n_paths, dtype=np.int64), counts)
-    order = np.lexsort((times, paths))
-    return paths[order], times[order]
+    # the paths come grouped: order the times, then group their paths
+    # again, so that each path's times ascend (np.lexsort's order); one
+    # permutation is composed and the times gathered once
+    order = _time_order(times)
+    key = paths[order]
+
+    def reorder(o):
+        nonlocal order
+        key[:], order = key[o], order[o]
+
+    _sort_by_digits(key, reorder)
+    del key
+    return paths, times[order]
+
+
+def _time_order(times) -> np.ndarray:
+    """A permutation that sorts `times`, tied times in their given order
+    (a stable sort runs only when two times tie)."""
+    order = np.argsort(times)
+    t = times[order]
+    if (t[1:] == t[:-1]).any():
+        order = np.argsort(times, kind="stable")
+    return order
+
+
+def _sort_by_digits(key, reorder):
+    """Sort stably by the nonnegative integers `key`: for each 16 bits of
+    the key, least significant first, `reorder(order)` applies the stable
+    argsort of that digit (which NumPy runs as a radix sort) to the key
+    and the arrays that go with it, in place. After a stable sort by
+    other keys, this gives np.lexsort's order with `key` as the primary
+    key."""
+    top = int(key.max()) if len(key) else 0
+    for shift in range(0, top.bit_length(), 16):
+        digit = (key >> shift if shift else key).astype(np.uint16)
+        reorder(np.argsort(digit, kind="stable"))

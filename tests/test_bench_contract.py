@@ -159,3 +159,43 @@ def test_a_traced_model_runs_the_cells_of_the_split_path(tracer):
 
     assert cells(spec) == cells(original)
     assert trace.leaves        # the wrapped coefficients did run
+
+
+def test_a_traced_model_has_no_constant_mark_and_runs_the_same_bytes(
+        tracer, monkeypatch):
+    # the kernel adds a marked constant diffusion (sigma = g = 1 here)
+    # without calling it. The tracer's wrapped compile_expression and its
+    # coefficient leaves both hide the mark, so traced runs call the
+    # coefficients and take the matrix product, with the same bytes
+    original = model.example_2_8()
+    assert original.fast_diffusion.constant == original.slow_diffusion.constant == 1.0
+    trace = tracer.Tracer()
+    compile_expression = model.compile_expression
+    monkeypatch.setattr(model, "compile_expression", lambda text, variables: trace.leaf(
+        "expressions.evaluate", compile_expression(text, variables)))
+    compiled = model.example_2_8()
+    wrapped = copy.copy(original)
+    for coef in tracer._COEFFICIENTS:
+        object.__setattr__(wrapped, coef, trace.leaf(f"model.{coef}",
+                                                     getattr(wrapped, coef)))
+    for spec in (compiled, wrapped):
+        assert getattr(spec.fast_diffusion, "constant", None) is None
+        assert getattr(spec.slow_diffusion, "constant", None) is None
+
+    def runs(spec):
+        cfg = integrate.StepperConfig(epsilon=2**-3, delta=2**-7, t_end=0.25)
+        outs = [integrate.run_frozen_batch(spec, 0.3, 0.2, horizon=1.0, delta=2**-6,
+                                           n_chains=5, stream=rng.RngStream(7)),
+                integrate.run_frozen_pair_batch(spec, 0.3, 0.2, -0.4, horizon=1.0,
+                                                delta=2**-6, n_pairs=4,
+                                                stream=rng.RngStream(8)),
+                integrate.run_system_batch(spec, 0.5, -0.3, cfg, 5, rng.RngStream(9)),
+                integrate.run_pair_batch(spec, ergodic.ExactAveraged(lambda x: -x),
+                                         0.5, -0.3, cfg, 5, rng.RngStream(10))]
+        return [out[key].tobytes() for out in outs for key in sorted(out)
+                if key != "checkpoints"]
+
+    plain = runs(original)
+    assert runs(compiled) == plain
+    assert runs(wrapped) == plain
+    assert trace.leaves        # the wrapped coefficients did run

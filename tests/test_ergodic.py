@@ -528,6 +528,26 @@ class TestPoissonCells:
                                           np.array(spreads) / np.sqrt(129))
         np.testing.assert_array_equal(fused.curve(0)[0], 0.25 * np.arange(64))
 
+    def test_mean_curve_stacks_its_points_once(self):
+        # every block's reads share one stacked, read-only copy of the
+        # points, stacked again only after a new point
+        gen = np.random.default_rng(124)
+        curve = MeanCurve(lambda st: st["v"], blocks=2)
+        curve.start({"v": gen.standard_normal((6, 2))})
+        for k in range(5):
+            curve.observe(k, 0.5 * (k + 1), {"v": gen.standard_normal((6, 2))})
+        times, m0 = curve.curve(0)
+        _, m1 = curve.curve(1)
+        assert m0.base is m1.base and not times.flags.writeable
+        np.testing.assert_array_equal(m1, np.asarray(curve.means)[:, 1])
+        np.testing.assert_array_equal(curve.point_se(1),
+                                      np.asarray(curve.spreads)[:, 1] / np.sqrt(3))
+        assert curve.curve(1)[1].base is m0.base
+        curve.observe(5, 3.0, {"v": gen.standard_normal((6, 2))})
+        times, m0 = curve.curve(0)
+        assert times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        np.testing.assert_array_equal(m0, np.asarray(curve.means)[:, 0])
+
     def test_later_failing_fit_raises_the_same_error(self):
         # Y stays at its start: the gap is 0 from y = 0.5 and a constant
         # 0.5 from y = 1.0, which no decay fit accepts
@@ -582,6 +602,26 @@ class TestSemigroupIdentity:
             semigroup_identity_check(jump_ou(), 0.0, 1.0, s=0.25, t_cut=1.0,
                                      n_traj=8, endpoint_draws=draws, delta=2**-6,
                                      avg_b=0.7, avg_b_ci=0.0, stream=RngStream(123))
+
+    @pytest.mark.parametrize("cells, message", [
+        (dict(t_cut=1.0, n_traj=1), "n_traj >= 2"),
+        (dict(t_cut=0.0, n_traj=8), "t_cut must be positive"),
+        (dict(t_cut=-1.0, n_traj=8), "t_cut must be positive")])
+    def test_bad_cells_are_refused_before_any_run(self, monkeypatch, cells, message):
+        # the cells' own checks, made before the endpoint run
+        runs = []
+        run = ergodic.run_frozen_batch
+
+        def spy(*args, **kwargs):
+            runs.append(kwargs["n_chains"])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(ergodic, "run_frozen_batch", spy)
+        with pytest.raises(ConfigurationError, match=message):
+            semigroup_identity_check(jump_ou(), 0.0, 1.0, s=0.25, delta=2**-6,
+                                     endpoint_draws=4, avg_b=0.7, avg_b_ci=0.0,
+                                     stream=RngStream(123), **cells)
+        assert runs == []
 
     def test_expression_drift_splits_and_callable_drift_does_not(self):
         # a frozen run's mean curve makes the x-only part of b once per run

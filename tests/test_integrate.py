@@ -686,6 +686,49 @@ class TestObservers:
             np.testing.assert_array_equal(seen[key].slow[-1], seen[name][0])
 
 
+class TestConstantDiffusion:
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.one_of(st.just(1.0), st.floats(-2.0, 2.0)),
+           sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           steps=st.integers(2, 48), seed=st.integers(0, 2**32 - 1))
+    def test_a_constant_diffusion_runs_the_bits_of_the_general_path(
+            self, c, sizes, steps, seed):
+        # "c + 0*y" reads y, so it takes the coefficient call and the
+        # matrix product; "c" is added as c * dw (dw itself when c is 1)
+        def spec(text):
+            return model_from_config({
+                "b": "-x + y", "sigma": text, "f": "sin(x) - y - y*y*y", "g": text,
+                "h2": "z * cos(x)",
+                "nu1": {"intensity": 6.0, "size": {"kind": "uniform", "lo": -0.5,
+                                                   "hi": 0.7}},
+                "nu2": {"intensity": 24.0, "size": {"kind": "uniform", "lo": 0.1,
+                                                    "hi": 0.6}}})
+
+        lit = repr(c)
+        const, general = spec(lit), spec(f"{lit} + 0*y")
+        assert const.fast_diffusion.constant == c
+        assert getattr(general.fast_diffusion, "constant", None) is None
+        n = sum(sizes)
+        blocks = [(RngStream(seed, i), k) for i, k in enumerate(sizes)]
+        x = np.repeat(np.linspace(-1.0, 1.0, len(sizes)), sizes)[:, None]
+        # the coupled run's horizon is on its grid; the frozen runs' may
+        # end in a short step
+        horizon = steps * 2**-7
+        cfg = StepperConfig(epsilon=2**-3, delta=2**-7, t_end=horizon)
+
+        def runs(m):
+            return [run_frozen_batch(m, x, 0.2, horizon=horizon, delta=2**-6,
+                                     n_chains=n, stream=blocks, checkpoints=(horizon,)),
+                    run_frozen_pair_batch(m, 0.4, -0.5, 0.5, horizon=horizon,
+                                          delta=2**-6, n_pairs=n,
+                                          stream=RngStream(seed)),
+                    run_system_batch(m, 0.5, -0.3, cfg, n, blocks,
+                                     checkpoints=(steps // 2 * 2**-7, horizon))]
+
+        for a, b in zip(runs(const), runs(general)):
+            assert _sha(a) == _sha(b)
+
+
 def _sha(out) -> str:
     """sha256 over a run's outputs (terminal states, sup, clamps) and its
     checkpoint snapshots, in key order; recorded paths are not hashed."""
@@ -801,6 +844,57 @@ def _golden_run(case):
         blocks = [(RngStream(111, j), 3, c) for j, c in enumerate(cfgs)]
         return run_pair_batch(m, table, 0.3, -0.2, cfgs[0], 9, blocks,
                               checkpoints=(0.125, 0.25))
+    if case == "frozen-thin-narrow":
+        # corrector-narrow's expression model (g = 1) on 32 chains, with
+        # its invariant run's ThinCollector
+        m = model_from_config({
+            "b": "-pow(x,3)+x+pow(y,3)", "sigma": "x", "f": "sin(x)-y-pow(y,5)",
+            "g": "1", "nu1": {"intensity": 0.0, "size": {"kind": "uniform",
+                                                          "lo": -0.5, "hi": 0.5}},
+            "nu2": {"intensity": 0.0, "size": {"kind": "uniform", "lo": -0.5,
+                                               "hi": 0.5}}})
+        thin = ThinCollector("y", burn_steps=32, thin=8)
+        out = run_frozen_batch(m, 0.0, 1.0, horizon=1.0, delta=2**-8, n_chains=32,
+                               stream=RngStream(112), watchers=(thin,))
+        out["thin"] = thin.stacked()
+        return out
+    if case == "multi-rate-pair-2-8":
+        # sigma = 1, shared by x and its twin, with slow and fast jumps
+        grid = np.linspace(-2.0, 2.0, 17)
+        table = AveragedTable(
+            grid=grid, drift_values=-grid[:, None], drift_ci=np.zeros((17, 1)),
+            diff2_values=np.ones((17, 1, 1)), diff2_ci=np.zeros((17, 1, 1)))
+        policy = DeltaPolicy(mode="scaled", fast_exp=4)
+        cfgs = [StepperConfig(epsilon=e, delta=policy.delta_for(e, 2**-4),
+                              t_end=0.5) for e in (2**-5, 2**-4, 2**-3)]
+        blocks = [(RngStream(113, j), 4, c) for j, c in enumerate(cfgs)]
+        return run_pair_batch(example_2_8(), table, 0.3, -0.2, cfgs[0], 12, blocks,
+                              checkpoints=(0.25, 0.5))
+    if case in ("frozen-pair-half", "system-half"):
+        # constant diffusions other than 1, with slow and fast jumps
+        m = model_from_config({
+            "b": "-x + y", "sigma": "0.5", "f": "sin(x) - y - y*y*y", "g": "0.5",
+            "nu1": {"intensity": 8.0, "size": {"kind": "uniform", "lo": -0.5,
+                                               "hi": 0.7}},
+            "nu2": {"intensity": 16.0, "size": {"kind": "uniform", "lo": 0.1,
+                                                "hi": 0.6}}})
+        if case == "frozen-pair-half":
+            return run_frozen_pair_batch(m, 0.6, -1.0, 1.0, horizon=1.0, delta=2**-6,
+                                         n_pairs=6, stream=RngStream(114))
+        cfg = StepperConfig(epsilon=2**-3, delta=2**-7, t_end=0.25)
+        return run_system_batch(m, 0.5, -0.3, cfg, 5, RngStream(115),
+                                checkpoints=(0.125, 0.25))
+    if case == "frozen-unequal-blocks":
+        # blocks of 5, 2 and 9 chains with about 0.6 events per chain and
+        # step: the event advances fill slices of each block's draw rows
+        m = model_from_config({
+            "b": "-x", "sigma": "1", "f": "cos(x) - y - y*y*y", "g": "1",
+            "nu2": {"intensity": 40.0, "size": {"kind": "uniform", "lo": -0.3,
+                                                "hi": 0.5}}})
+        blocks = [(RngStream(116, i), n) for i, n in enumerate((5, 2, 9))]
+        x = np.repeat([0.3, -1.1, 0.8], (5, 2, 9))[:, None]
+        return run_frozen_batch(m, x, 0.1, horizon=1.0, delta=2**-6, n_chains=16,
+                                stream=blocks, checkpoints=(0.5, 1.0))
     # one short coupled run per scheme, with slow and fast jumps
     m = scalar_model(
         "schemes", b=lambda x, y: -x + y, sigma=0.5,
@@ -847,6 +941,18 @@ class TestGoldenBytes:
             "e5367fa6b329d7296b4dcee4610fd8798b195f19e8330a73a104c224c25e6bae",
         "multi-rate-rank-1":
             "7d0894149de9b857bcb973083cac422b8acd7fd00d2e6ef6016d1a5002bf6973",
+        # recorded before the advance drew into one buffer per run and
+        # added constant diffusions without a coefficient call
+        "frozen-thin-narrow":
+            "c10d57c67d60f95a6477f15493c418e73c018dfd1c0dd1922d1bf0411eaeb7f5",
+        "multi-rate-pair-2-8":
+            "6fd13be154fbe002b632baa638da4d1ce7acd85854b3ee6d3310f53dc1960836",
+        "frozen-pair-half":
+            "6159fcf3013a130dff56c3abb9a0cd564f5e8dbee5822e89a6ad8b95c821dcbd",
+        "system-half":
+            "b2e3c1df8103a079da7d5b84109a6e379b3c97e219d2a1a3f367717ca304a94b",
+        "frozen-unequal-blocks":
+            "b066e4a522269f85712340e85928940dfdfc07f4f35aeaf58723fb5ca785afa6",
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))

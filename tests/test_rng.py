@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from mslevy.errors import ConfigurationError
@@ -9,6 +10,8 @@ from mslevy.rng import (
     RngStream,
     TruncatedGaussian,
     Uniform,
+    _sort_by_digits,
+    _time_order,
     default_jump_measure,
     sample_jump_times_batch,
 )
@@ -196,3 +199,55 @@ def test_measure_round_trip():
         assert JumpMeasureSpec.from_dict(d) == spec
     with pytest.raises(ConfigurationError):
         JumpMeasureSpec.from_dict({"intensity": 1.0, "size": {"kind": "cauchy"}})
+
+
+def _passes(*keys):
+    """Copies of `keys` and the identity, and a reorder that moves them
+    together, as the kernel's schedule moves its arrays."""
+    arrays = [np.array(k) for k in keys] + [np.arange(len(keys[0]))]
+
+    def reorder(order):
+        for arr in arrays:
+            arr[:] = arr[order]
+
+    return arrays, reorder
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       top=st.sampled_from([1, 3, 200, 2**16, 2**20]),
+       levels=st.sampled_from([1, 2, 5, 0]))
+def test_digit_passes_give_the_lexsort_order(n, seed, top, levels):
+    # few distinct times force ties in (path, time), which must keep their
+    # order as np.lexsort's stable passes keep it; paths past 2**16 take
+    # two passes
+    gen = np.random.default_rng(seed)
+    paths = gen.integers(0, top, n)
+    times = (gen.integers(0, levels, n) * 0.125 if levels
+             else gen.uniform(0.0, 1.0, n))
+    (t, p, idx), reorder = _passes(times, paths)
+    reorder(_time_order(t))
+    _sort_by_digits(p, reorder)
+    np.testing.assert_array_equal(idx, np.lexsort((times, paths)))
+    rank = gen.integers(0, 4, n).astype(np.int32)
+    step = gen.integers(0, top, n).astype(np.int32)
+    (r, s, idx), reorder = _passes(rank, step)
+    for key in (r, s):
+        _sort_by_digits(key, reorder)
+    np.testing.assert_array_equal(idx, np.lexsort((rank, step)))
+
+
+@pytest.mark.parametrize("n_paths", [7, 70_000])
+def test_jump_times_in_lexsort_order(n_paths):
+    # the same draws as sample_jump_times_batch makes, sorted by lexsort;
+    # 70,000 paths take two digit passes
+    stream = RngStream(11, n_paths)
+    paths, times = sample_jump_times_batch(3.0, 0.5, n_paths, stream)
+    gen = stream.generator()
+    counts = gen.poisson(1.5, n_paths)
+    t = gen.uniform(0.0, 0.5, int(counts.sum()))
+    p = np.repeat(np.arange(n_paths, dtype=np.int64), counts)
+    order = np.lexsort((t, p))
+    assert paths.dtype == np.int64
+    np.testing.assert_array_equal(paths, p[order])
+    np.testing.assert_array_equal(times, t[order])
