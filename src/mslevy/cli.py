@@ -62,7 +62,7 @@ _TABLE_BLOCK = {
 
 _POLICY_BLOCK = {
     "mode": (False, "global", string(("global", "scaled"))),
-    "fast_exp": (False, 6, integer(1)),
+    "fast_exp": (False, 6, integer(4)),
 }
 
 _SCHEMAS: dict[str, dict] = {
@@ -144,7 +144,7 @@ _SCHEMAS: dict[str, dict] = {
         "n_paths": (False, 4096, integer(2)),
         "x0": (False, 1.0, num),
         "y0": (False, 1.0, num),
-        "fast_exp": (False, 6, integer(1)),
+        "fast_exp": (False, 6, integer(4)),
     },
 }
 

@@ -153,6 +153,10 @@ class InvariantConfig:
     thin: int = 8
     y0: float = 0.0
 
+    def __post_init__(self):
+        if not self.n_chains >= 1:
+            raise ConfigurationError(f"n_chains must be >= 1, not {self.n_chains!r}")
+
 
 def _integrated_autocorr(series: np.ndarray) -> float:
     """Integrated autocorrelation time (in sample units) of one series,

@@ -88,7 +88,7 @@ class DeltaPolicy:
         discretization bias is common-mode across the sweep.
     scaled: delta = eps * 2^-fast_exp, keeping the effective fast substep
         delta/eps constant across the sweep.
-    The step never goes below 2^-16.
+    fast_exp >= 4, so that delta <= eps/16. The step never goes below 2^-16.
     """
 
     mode: str = "global"
@@ -97,6 +97,7 @@ class DeltaPolicy:
     def __post_init__(self):
         if self.mode not in ("global", "scaled"):
             raise ConfigurationError("delta policy mode must be global or scaled")
+        _check_fast_exp(self.fast_exp)
 
     def delta_for(self, eps: float, eps_min: float) -> float:
         base = (eps if self.mode == "scaled" else eps_min) * 2.0 ** (-self.fast_exp)
@@ -215,7 +216,15 @@ def _prepare_eps(eps) -> np.ndarray:
     return eps
 
 
-def _check_confidence(confidence: float):
+def _check_fast_exp(fast_exp: int):
+    # delta = eps * 2^-fast_exp must resolve the fast scale: delta <= eps/16
+    if not fast_exp >= 4:
+        raise ConfigurationError(f"fast_exp must be >= 4, not {fast_exp!r}")
+
+
+def _check_bootstrap(n_boot: int, confidence: float):
+    if not n_boot >= 1:
+        raise ConfigurationError(f"n_boot must be >= 1, not {n_boot!r}")
     if not 0 < confidence < 1:
         raise ConfigurationError(f"confidence must lie in (0, 1), not {confidence!r}")
 
@@ -271,7 +280,7 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
     if p < 2:
         raise ConfigurationError("strong error moment p must be >= 2")
     eps = _prepare_eps(eps)
-    _check_confidence(confidence)
+    _check_bootstrap(n_boot, confidence)
     policy = delta_policy or DeltaPolicy()
     levels, clamps = _pair_sweep(model, avg, eps, policy, "strong", stream,
                                  t_end=t_end, n_paths=n_paths, x0=x0, y0=y0)
@@ -334,7 +343,7 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
     if mode == "independent" and not avg.has_diffusion:
         raise ConfigurationError("independent mode needs averaged diffusion data")
     eps = _prepare_eps(eps)
-    _check_confidence(confidence)
+    _check_bootstrap(n_boot, confidence)
     policy = delta_policy or DeltaPolicy()
     cps = tuple(f * t_end for f in _CHECKPOINT_FRACS)
     errors, halves, counts, clamps = [], [], [], []
@@ -451,6 +460,7 @@ def fast_moment_sweep(model: ModelSpec, *, eps, p: float, t_end: float,
     is E[sup_t |Y_t|^p] with the normal-theory CI of its path mean.
     """
     eps = _prepare_eps(eps)
+    _check_fast_exp(fast_exp)
     marg, marg_ci, pathw, pathw_ci = [], [], [], []
     for j, e in enumerate(eps):
         delta = e * 2.0 ** (-fast_exp)

@@ -94,7 +94,7 @@ __all__ = [
     "run_averaged_batch",
 ]
 
-_SCHEMES = ("tamed_euler", "split_step_implicit", "euler")
+_SCHEMES = ("tamed_euler", "euler")
 _MAX_FAST_SUBSTEP = 1.0 / 16.0
 _STATE_CAP = 1e12
 
@@ -118,12 +118,13 @@ class StepperConfig:
         if not self.delta > 0:
             raise ConfigurationError("delta must be positive")
         if not self.t_end > 0:
-            raise ConfigurationError(f"t_end must be positive, not {self.t_end!r}")
+            raise ConfigurationError(f"t_end must be positive, not {float(self.t_end)!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigurationError(f"scheme must be one of {_SCHEMES}")
         if self.delta > self.epsilon * _MAX_FAST_SUBSTEP * (1 + 1e-12):
             raise ConfigurationError(
-                f"delta={self.delta!r} exceeds epsilon/16 = {self.epsilon / 16!r}; "
+                f"delta={float(self.delta)!r} exceeds epsilon/16 = "
+                f"{float(self.epsilon) / 16!r}; "
                 "the fast component would be under-resolved"
             )
 
@@ -466,8 +467,6 @@ class _Kernel:
                 else:
                     fac = dte / (1.0 + dte * _norm(d))
                     inc = d * fac[:, None]
-            elif self.scheme == "split_step_implicit":
-                inc = _implicit_increment(comp, sub, s, col)
             else:
                 inc = d * col
             if comp.compensator is not None:
@@ -708,26 +707,6 @@ def _checkpoint_steps(checkpoints, delta, t_end, n_steps) -> dict[int, float]:
                 f"checkpoints {cp_map[k - 1]!r} and {t_cp!r} fall on the same step")
         cp_map[k - 1] = t_cp
     return cp_map
-
-
-def _implicit_increment(comp, sub, s, dcol):
-    """The split-step implicit increment over a step of dcol: a scalar, or
-    a column of one step per row."""
-    if s.shape[1] != 1:
-        raise ConfigurationError("split-step implicit scheme supports scalar components")
-    u = s.copy()
-    for _ in range(50):
-        d = np.asarray(comp.drift({**sub, comp.name: u}))
-        g = u - s - dcol * d
-        h = 1e-6 * (1.0 + np.abs(u))
-        dp = (np.asarray(comp.drift({**sub, comp.name: u + h}))
-              - np.asarray(comp.drift({**sub, comp.name: u - h}))) / (2.0 * h)
-        gp = 1.0 - dcol * dp
-        step = g / gp
-        u = u - step
-        if np.max(np.abs(step)) < 1e-12:
-            break
-    return u - s
 
 
 def _build_compensator(jump_fn, measure: JumpMeasureSpec, probe_subs):

@@ -144,38 +144,6 @@ class ModelSpec:
                 )
 
 
-def _lift(fn, signature="xy", trailing=1):
-    """Lift flat coefficient fn into the (paths, 1) batch convention.
-
-    signature "xy" maps fn(x, y), "xz" fn(x, z) and "xyz" fn(x, y, z),
-    where states arrive as (paths, 1) columns and marks as flat arrays.
-    The flat output gains `trailing` unit dimensions; a constant output is
-    broadcast over the batch.
-    """
-    expand = (slice(None),) + (None,) * trailing
-
-    def batch(x, out):
-        out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            out = np.full(x.shape[0], float(out))
-        return out[expand]
-
-    if signature == "xz":
-        return lambda x, z: batch(x, fn(x[:, 0], np.asarray(z, dtype=float)))
-    if signature == "xyz":
-        return lambda x, y, z: batch(x, fn(x[:, 0], y[:, 0], np.asarray(z, dtype=float)))
-    return lambda x, y: batch(x, fn(x[:, 0], y[:, 0]))
-
-
-def _as_fn(value, arity):
-    if callable(value):
-        return value
-    const = float(value)
-    if arity == 2:
-        return lambda a, b: np.full(np.shape(a), const)
-    return lambda a, b, c: np.full(np.shape(b), const)
-
-
 def scalar_model(
     name: str,
     *,
@@ -196,23 +164,19 @@ def scalar_model(
     (paths,) arrays: b(x, y), sigma(x, y), h1(x, z), f(x, y), g(x, y),
     h2(x, y, z).
     """
-    return ModelSpec(
-        name=name,
-        dim_slow=1,
-        dim_fast=1,
-        dw_slow=1,
-        dw_fast=1,
-        slow_drift=_lift(_as_fn(b, 2)),
-        slow_diffusion=_lift(_as_fn(sigma, 2), trailing=2),
-        slow_jump=_lift(_as_fn(h1, 2), "xz"),
-        fast_drift=_lift(_as_fn(f, 2)),
-        fast_diffusion=_lift(_as_fn(g, 2), trailing=2),
-        fast_jump=_lift(_as_fn(h2, 3), "xyz"),
-        slow_measure=nu1 if nu1 is not None else default_jump_measure(),
-        fast_measure=nu2 if nu2 is not None else default_jump_measure(),
-        sigma_y_independent=sigma_y_independent,
-        params=params,
-    )
+    given = {"b": b, "sigma": sigma, "f": f, "g": g, "h1": h1, "h2": h2}
+    return _scalar_spec(name, {key: _flat(value) for key, value in given.items()},
+                        nu1, nu2, sigma_y_independent, params)
+
+
+def _flat(value):
+    """A number or a function of flat arrays as a function of the env of
+    `_coefficient`, whose values arrive in the function's argument order;
+    a number is a 0-d array."""
+    if callable(value):
+        return lambda env: np.asarray(value(*env.values()), dtype=float)
+    const = np.asarray(float(value))
+    return lambda env: const
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +260,13 @@ _MODEL_SCHEMA = {
 
 
 def _coefficient(evaluate, variables, trailing):
-    """The compiled expression `evaluate` of `variables` as a coefficient
-    in the batch convention, in one closure: states arrive as (paths, 1)
-    columns and marks as a flat array, and the flat value gains
-    `trailing` unit dimensions (a constant value is broadcast over the
-    batch). `fast_coefficients` splits it for frozen runs. Its `constant`
-    is the finite float value of an expression that reads no variable
+    """`evaluate` (a compiled expression of `variables`, or `_flat`) as a
+    coefficient in the batch convention, in one closure: states arrive
+    as (paths, 1) columns and marks as a flat array, `evaluate` maps them
+    by variable name to a flat value, and that value gains `trailing`
+    unit dimensions (a constant value is broadcast over the batch).
+    `fast_coefficients` splits it for frozen runs. Its `constant` is the
+    finite float value of an expression that reads no variable
     (`g = "1"`), which the kernel adds as a diffusion without calling
     it; else None."""
     expand = (slice(None),) + (None,) * trailing
@@ -351,14 +316,21 @@ def model_from_config(cfg: dict) -> ModelSpec:
         b = np.broadcast_to(sig({"x": xs, "y": gen.uniform(-4, 4, 1000)}), xs.shape)
         sigma_flag = bool(np.array_equal(a, b))
 
+    return _scalar_spec(m["name"], exprs, m["nu1"], m["nu2"], sigma_flag,
+                        m["params"])
+
+
+def _scalar_spec(name, evaluators, nu1, nu2, sigma_y_independent, params):
+    """The scalar ModelSpec whose coefficients are `_coefficient`s of
+    `evaluators`, one function of an env per `_COEFFICIENTS` key."""
     return ModelSpec(
-        name=m["name"], dim_slow=1, dim_fast=1, dw_slow=1, dw_fast=1,
-        **{field: _coefficient(exprs[key], variables, trailing)
+        name=name, dim_slow=1, dim_fast=1, dw_slow=1, dw_fast=1,
+        **{field: _coefficient(evaluators[key], variables, trailing)
            for key, (field, variables, trailing) in _COEFFICIENTS.items()},
-        slow_measure=m["nu1"] if m["nu1"] is not None else default_jump_measure(),
-        fast_measure=m["nu2"] if m["nu2"] is not None else default_jump_measure(),
-        sigma_y_independent=sigma_flag,
-        params=m["params"],
+        slow_measure=nu1 if nu1 is not None else default_jump_measure(),
+        fast_measure=nu2 if nu2 is not None else default_jump_measure(),
+        sigma_y_independent=sigma_y_independent,
+        params=params,
     )
 
 

@@ -1,8 +1,8 @@
 """Deterministic splittable random streams and finite-activity jump sampling.
 
 Streams are value-like: an :class:`RngStream` is a key, not a stateful
-generator. Deriving children (`child`, `substream`) never consumes
-randomness, so any part of a simulation can be replayed in isolation.
+generator. Deriving a child stream (`child`) never consumes randomness,
+so any part of a simulation can be replayed in isolation.
 The underlying bit generator is counter-based (Philox) keyed through
 ``numpy``'s ``SeedSequence``, which is stable across platforms.
 """
@@ -58,12 +58,6 @@ class RngStream:
     def child(self, purpose: str) -> "RngStream":
         """Derive an independent stream for a named purpose."""
         return replace(self, tags=self.tags + (_tag(purpose),))
-
-    def substream(self, index: int) -> "RngStream":
-        """Derive an independent stream for a numbered work unit."""
-        if index < 0:
-            raise ConfigurationError("substream index must be nonnegative")
-        return replace(self, tags=self.tags + (int(index),))
 
     def generator(self) -> np.random.Generator:
         """Fresh counter-based generator positioned at the stream origin."""

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from mslevy import cli, ergodic
 from mslevy.cli import main, parse_config, run
 from mslevy.errors import ConfigurationError
+from mslevy.rng import RngStream
 
 JUMP_OU_CFG = {"b": "y", "sigma": "1", "f": "0.7 - y", "g": "1"}
 
@@ -222,6 +224,22 @@ class TestExitCodes:
         assert run(command, p, out_dir=out) == 2
         assert f"{path}: expected a finite number" in (out / "error.log").read_text()
 
+    @pytest.mark.parametrize("command, options, key", [
+        ("strong-order", {"delta_policy": {"fast_exp": 2}}, "delta_policy.fast_exp"),
+        ("weak-order", {"delta_policy": {"mode": "scaled", "fast_exp": 3}},
+         "delta_policy.fast_exp"),
+        ("fast-moments", {"fast_exp": 2}, "fast_exp"),
+    ])
+    def test_fast_exp_below_four_exit_2_before_any_table(self, tmp_path, command,
+                                                         options, key):
+        # delta <= eps/16 needs fast_exp >= 4 in every delta policy
+        p = write_cfg(tmp_path, {"model": "example_2_7_linear",
+                                 **MINIMAL[command], **options})
+        out = tmp_path / "out"
+        assert run(command, p, out_dir=out) == 2
+        assert f"{key}: expected an integer >= 4" in (out / "error.log").read_text()
+        assert not list(out.glob("cache/avg_table_*"))
+
     @pytest.mark.parametrize("command, options", [
         ("frozen-stats", {"x": 0.0, "chains": 8, "burn_in": 1.0,
                           "horizon": 0.05}),
@@ -259,6 +277,19 @@ def test_table_cache_key_holds_the_table_format_version(monkeypatch):
     monkeypatch.setattr(ergodic, "_TABLE_FORMAT_VERSION",
                         ergodic._TABLE_FORMAT_VERSION + 1)
     assert cli._table_cache_key("example_2_8", tb, 0) != key
+
+
+def test_readme_library_use_runs_and_names_only_stream_methods(capsys):
+    # the README's "Library use" section: its code block runs as written,
+    # and each `.method(` its prose names is one that RngStream has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    _, code, after = section.split("```", 2)
+    code = code.removeprefix("python\n")
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2
+    named = re.findall(r"`\.(\w+)\(", after)
+    assert named and all(hasattr(RngStream, name) for name in named)
 
 
 class TestValidateModel:

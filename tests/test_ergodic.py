@@ -74,6 +74,17 @@ def test_special_quantiles_equal_scipy_stats():
 
 
 class TestInvariantMeasure:
+    @pytest.mark.parametrize("n_chains", [0, -1])
+    def test_chain_count_below_one_is_refused_before_any_run(self, monkeypatch,
+                                                             n_chains):
+        runs = []
+        monkeypatch.setattr(integrate, "_drive", lambda *a, **k: runs.append(a))
+        with pytest.raises(ConfigurationError, match="n_chains must be >= 1"):
+            estimate_invariant_measure(jump_ou(), 0.0, burn_in=1.0, horizon=5.0,
+                                       n_chains=n_chains, delta=2**-6,
+                                       stream=RngStream(1))
+        assert runs == []
+
     def test_jump_ou_mean_and_variance(self):
         a = 0.7
         inv = invariant(jump_ou(a))
@@ -224,6 +235,17 @@ class TestAveragedDiffusion:
 
 
 class TestAveragedTable:
+    @pytest.mark.parametrize("n_chains", [0, -1])
+    def test_chain_count_below_one_is_refused_before_any_run(self, monkeypatch,
+                                                             n_chains):
+        # with burn_in and horizon unset, the pilot decay run comes first
+        runs = []
+        monkeypatch.setattr(integrate, "_drive", lambda *a, **k: runs.append(a))
+        with pytest.raises(ConfigurationError, match="n_chains must be >= 1"):
+            build_averaged_table(jump_ou(), (-1.0, 1.0), 3,
+                                 InvariantConfig(n_chains=n_chains), RngStream(1))
+        assert runs == []
+
     def test_exact_for_fast_free_linear_drift(self):
         m = scalar_model("lin", b=lambda x, y: -x, sigma=1.0,
                          f=lambda x, y: -y, g=1.0, sigma_y_independent=True)

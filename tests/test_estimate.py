@@ -65,6 +65,12 @@ class TestDeltaPolicy:
         with pytest.raises(ConfigurationError):
             DeltaPolicy(mode="adaptive")
 
+    @pytest.mark.parametrize("mode", ["global", "scaled"])
+    def test_fast_exp_below_four_is_refused(self, mode):
+        # eps * 2^-3 exceeds eps/16, the step every StepperConfig needs
+        with pytest.raises(ConfigurationError, match="fast_exp must be >= 4"):
+            DeltaPolicy(mode=mode, fast_exp=3)
+
 
 def _stub_pair(sup_fn):
     # the sweep's eps levels arrive as multi-rate blocks (stream, n, cfg)
@@ -131,19 +137,17 @@ class TestStrongError:
                          n_paths=4, x0=0.0, y0=0.0, stream=RngStream(1))
 
 
-@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.2, float("nan")])
-@pytest.mark.parametrize("sweep", ["strong", "coupled", "independent"])
-def test_confidence_outside_the_open_unit_interval_is_refused(sweep, confidence,
-                                                              monkeypatch):
-    # refused before any path runs, by both sweeps in every mode
+def _refused_before_any_run(monkeypatch, sweep, match, **options):
+    """Run `sweep` with `options`, expect ConfigurationError matching
+    `match`, and check that no path ran."""
     calls = []
     for name in ("run_pair_batch", "run_system_batch", "run_averaged_batch"):
         monkeypatch.setattr(mslevy.integrate, name,
                             lambda *args, **kwargs: calls.append(args))
     avg = ExactAveraged(lambda x: -x, lambda x: np.full((len(x), 1, 1), 0.09))
     kw = dict(eps=[2**-2, 2**-4, 2**-6], t_end=0.5, n_paths=4,
-              confidence=confidence, stream=RngStream(406))
-    with pytest.raises(ConfigurationError, match="confidence"):
+              stream=RngStream(406), **options)
+    with pytest.raises(ConfigurationError, match=match):
         if sweep == "strong":
             strong_error(_fast_free_model(), avg, x0=1.0, y0=0.0, **kw)
         else:
@@ -151,6 +155,21 @@ def test_confidence_outside_the_open_unit_interval_is_refused(sweep, confidence,
                        mode="independent" if sweep == "independent"
                        else "coupled_difference", **kw)
     assert calls == []
+
+
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.2, float("nan")])
+@pytest.mark.parametrize("sweep", ["strong", "coupled", "independent"])
+def test_confidence_outside_the_open_unit_interval_is_refused(sweep, confidence,
+                                                              monkeypatch):
+    # refused before any path runs, by both sweeps in every mode
+    _refused_before_any_run(monkeypatch, sweep, "confidence", confidence=confidence)
+
+
+@pytest.mark.parametrize("n_boot", [0, -1])
+@pytest.mark.parametrize("sweep", ["strong", "coupled", "independent"])
+def test_bootstrap_count_below_one_is_refused(sweep, n_boot, monkeypatch):
+    # a bootstrap CI needs one resample; refused before the pair sweep runs
+    _refused_before_any_run(monkeypatch, sweep, "n_boot must be >= 1", n_boot=n_boot)
 
 
 class TestWeakError:
@@ -355,6 +374,16 @@ class TestFastMoments:
             assert 0 < k < len(plain.means) - 1
             assert rep.marginal_sup[j] == plain.means[k]
             assert rep.marginal_ci[j] == 1.96 * plain.ses[k]
+
+    def test_fast_exp_below_four_is_refused_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mslevy.integrate, "run_system_batch",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigurationError, match="fast_exp must be >= 4"):
+            fast_moment_sweep(example_2_7("state_linear"), eps=[2**-2, 2**-3, 2**-4],
+                              p=4.0, t_end=0.25, n_paths=8, x0=0.5, y0=0.0,
+                              fast_exp=3, stream=RngStream(407))
+        assert calls == []
 
     def test_zero_fast_dynamics(self):
         m = scalar_model("quiet", b=0.0, sigma=1.0,

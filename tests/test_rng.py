@@ -31,7 +31,7 @@ def test_children_and_substreams_differ():
     root = RngStream(2024, 0)
     x = root.generator().standard_normal(8)
     y = root.child("wiener").generator().standard_normal(8)
-    z = root.substream(3).generator().standard_normal(8)
+    z = root.child("jumps").generator().standard_normal(8)
     assert not np.allclose(x, y)
     assert not np.allclose(x, z)
     assert not np.allclose(y, z)
