@@ -243,13 +243,17 @@ def _table_cache_key(model_ref, tb: dict, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _invariant_config(opts: dict) -> ergodic.InvariantConfig:
+    """The invariant budget of a config block, from the keys it has."""
+    budget = {k: opts[k] for k in ("burn_in", "horizon", "delta", "thin", "y0")
+              if k in opts}
+    return ergodic.InvariantConfig(n_chains=opts["chains"], **budget)
+
+
 def _build_table(model, tb: dict, stream: RngStream):
     """The averaged table of a `table` config block."""
-    inv_cfg = ergodic.InvariantConfig(
-        n_chains=tb["chains"], burn_in=tb["burn_in"], horizon=tb["horizon"],
-        delta=tb["delta"], thin=tb["thin"], y0=tb["y0"])
     return ergodic.build_averaged_table(
-        model, tuple(tb["box"]), tb["nodes"], inv_cfg, stream)
+        model, tuple(tb["box"]), tb["nodes"], _invariant_config(tb), stream)
 
 
 def _get_table(model, model_ref, tb: dict, seed: int, out: Path,
@@ -313,10 +317,8 @@ def _cmd_validate_model(model, cfg, out, stream):
 
 def _cmd_frozen_stats(model, cfg, out, stream):
     opts = cfg.options
-    inv = ergodic.estimate_invariant_measure(
-        model, opts["x"], burn_in=opts["burn_in"], horizon=opts["horizon"],
-        n_chains=opts["chains"], delta=opts["delta"], thin=opts["thin"],
-        y0=opts["y0"], stream=stream)
+    inv = ergodic.estimate_invariant_measure(model, opts["x"],
+                                             _invariant_config(opts), stream)
     rows = []
     lines = [f"invariant law at x={opts['x']:g} "
              f"(ess={inv.ess:.0f}{', LOW' if 'low-ess' in inv.flags else ''})"]
@@ -347,10 +349,9 @@ def _cmd_avg_table(model, cfg, out, stream):
 def _cmd_poisson_check(model, cfg, out, stream):
     opts = cfg.options
     x, y = opts["x"], opts["y"]
-    inv = ergodic.estimate_invariant_measure(
-        model, x, burn_in=opts["burn_in"], horizon=opts["horizon"],
-        n_chains=opts["chains"], delta=opts["delta"], stream=stream.child("inv"))
-    avg_b, avg_ci = ergodic.averaged_drift(model, x, inv)
+    inv = ergodic.estimate_invariant_measure(model, x, _invariant_config(opts),
+                                             stream.child("inv"))
+    avg_b, avg_ci = ergodic.averaged_drift(model, inv)
     cell = ergodic.poisson_cell(
         model, x, y, t_cut=opts["t_cut"], n_traj=opts["n_traj"],
         delta=opts["delta"], avg_b=avg_b, avg_b_ci=avg_ci,
@@ -410,11 +411,13 @@ def _cmd_ergodicity(model, cfg, out, stream):
 
 def _order_command(kind, model, cfg, out, stream):
     opts = cfg.options
-    table, cached = _get_table(model, cfg.model_ref, opts["table"],
-                               stream.master_seed, out, stream.child("table"))
     policy = estimate.DeltaPolicy(mode=opts["delta_policy"]["mode"],
                                   fast_exp=opts["delta_policy"]["fast_exp"])
     eps = opts["epsilon"]
+    # an under-resolved level is refused before the table is built
+    estimate._level_configs(estimate._prepare_eps(eps), policy, opts["t_end"])
+    table, cached = _get_table(model, cfg.model_ref, opts["table"],
+                               stream.master_seed, out, stream.child("table"))
     if kind == "strong":
         rep = estimate.strong_error(
             model, table, eps=eps, p=opts["p"], t_end=opts["t_end"],

@@ -142,8 +142,9 @@ class InvariantSample:
 class InvariantConfig:
     """Budget for invariant-measure estimation at one slow state.
 
-    burn_in and horizon default to the pilot heuristic 5/gamma and
-    100/gamma from a synchronously coupled decay fit.
+    burn_in and horizon left None are sized by `build_averaged_table`'s
+    pilot heuristic, 5/gamma and 100/gamma from a synchronously coupled
+    decay fit; `estimate_invariant_measure` needs both set.
     """
 
     n_chains: int = 8
@@ -156,6 +157,11 @@ class InvariantConfig:
     def __post_init__(self):
         if not self.n_chains >= 1:
             raise ConfigurationError(f"n_chains must be >= 1, not {self.n_chains!r}")
+        if not ((self.burn_in is None or self.burn_in >= 0)
+                and (self.horizon is None or self.horizon > 0) and self.delta > 0):
+            raise ConfigurationError("burn_in must be >= 0, and horizon and delta > 0")
+        if not self.thin >= 1:
+            raise ConfigurationError(f"thin must be >= 1, not {self.thin!r}")
 
 
 def _integrated_autocorr(series: np.ndarray) -> float:
@@ -179,19 +185,18 @@ def _integrated_autocorr(series: np.ndarray) -> float:
     return float(max(tau, 1.0))
 
 
-def estimate_invariant_measure(model: ModelSpec, x, *, burn_in: float,
-                               horizon: float, n_chains: int = 8,
-                               delta: float = 2.0**-8, thin: int = 8,
-                               y0=0.0, stream: RngStream) -> InvariantSample:
-    """Pooled time averages over independent frozen chains at slow state x.
+def estimate_invariant_measure(model: ModelSpec, x, cfg: InvariantConfig,
+                               stream: RngStream) -> InvariantSample:
+    """Pooled time averages over cfg.n_chains independent frozen chains
+    at slow state x.
 
     Chains run burn_in + horizon, the burn-in is discarded, and every
     `thin`-th micro-grid state is retained with equal weight. The
     effective sample size comes from the autocorrelation of |y|^2; below
-    100 the sample is flagged.
+    100 the sample is flagged. cfg's burn_in and horizon must be set.
     """
-    cfg = InvariantConfig(n_chains=n_chains, burn_in=burn_in, horizon=horizon,
-                          delta=delta, thin=thin, y0=y0)
+    if cfg.burn_in is None or cfg.horizon is None:
+        raise ConfigurationError("an invariant estimate needs burn_in and horizon")
     return next(_invariant_samples(model, [x], cfg, [stream],
                                    where="invariant measure"))
 
@@ -207,16 +212,14 @@ def _invariant_samples(model, xs, cfg: InvariantConfig, streams, *, where):
     holds more), and its samples are dropped before the next group runs.
     A blow-up names its node as `where` (formatted with i=node) and x.
     """
-    chains, burn_in, horizon = cfg.n_chains, cfg.burn_in, cfg.horizon
-    if burn_in < 0 or horizon <= 0 or cfg.delta <= 0:
-        raise ConfigurationError("burn_in must be >= 0, and horizon and delta > 0")
-    burn_steps, thin = int(round(burn_in / cfg.delta)), max(1, cfg.thin)
+    chains, burn_in, horizon, thin = cfg.n_chains, cfg.burn_in, cfg.horizon, cfg.thin
+    burn_steps = int(round(burn_in / cfg.delta))
     # the states ThinCollector keeps: steps burn_steps, +thin, ... of the run
     kept = max(0, -((burn_steps - _n_steps(burn_in + horizon, cfg.delta)) // thin))
     per_chain = -(-_N_BATCHES // chains)
     if kept < per_chain:
         raise ConfigurationError(
-            f"horizon {horizon!r} at delta {cfg.delta!r} and thin {cfg.thin} "
+            f"horizon {horizon!r} at delta {cfg.delta!r} and thin {thin} "
             f"keeps {kept} states per chain, but {chains} chains need "
             f"{per_chain} each for {_N_BATCHES} batch means")
     starts = np.stack([np.broadcast_to(np.asarray(x, dtype=float), (model.dim_slow,))
@@ -277,19 +280,9 @@ def _invariant_sample(x, stacked: np.ndarray, per_chain: int) -> InvariantSample
     )
 
 
-def _require_same_x(model, x, inv):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != inv.x.shape or not np.allclose(x, inv.x):
-        raise ConfigurationError(
-            f"invariant sample was estimated at x={inv.x}, not {x}"
-        )
-    return x
-
-
-def averaged_drift(model: ModelSpec, x, inv: InvariantSample):
-    """Invariant-measure average of the slow drift at x, with batch CI."""
-    x = _require_same_x(model, x, inv)
-    xs = np.broadcast_to(x, (len(inv.samples), model.dim_slow))
+def averaged_drift(model: ModelSpec, inv: InvariantSample):
+    """Invariant-measure average of the slow drift at inv.x, with batch CI."""
+    xs = np.broadcast_to(inv.x, (len(inv.samples), model.dim_slow))
     vals = model.slow_drift(xs, inv.samples)
     return inv.mean_ci(vals)
 
@@ -301,16 +294,15 @@ class AveragedDiffusion:
     clip: float
 
 
-def averaged_diffusion(model: ModelSpec, x, inv: InvariantSample) -> AveragedDiffusion:
-    """Invariant-measure average of sigma sigma^T at x, with the eigenvalue
-    magnitude its PSD root would clip."""
-    x = _require_same_x(model, x, inv)
-    xs = np.broadcast_to(x, (len(inv.samples), model.dim_slow))
+def averaged_diffusion(model: ModelSpec, inv: InvariantSample) -> AveragedDiffusion:
+    """Invariant-measure average of sigma sigma^T at inv.x, with the
+    eigenvalue magnitude its PSD root would clip."""
+    xs = np.broadcast_to(inv.x, (len(inv.samples), model.dim_slow))
     sig = np.asarray(model.slow_diffusion(xs, inv.samples))
     outer = np.einsum("kid,kjd->kij", sig, sig)
     mean, ci = inv.mean_ci(outer)
     mean = 0.5 * (mean + mean.T)
-    _, clip = _psd_root_batch(mean[None], x[None])
+    _, clip = _psd_root_batch(mean[None], inv.x[None])
     return AveragedDiffusion(matrix=mean, ci=ci, clip=clip)
 
 
@@ -378,8 +370,10 @@ class AveragedTable:
         self._scale = (n - 1) / (g[-1] - g[0])
         if np.max(np.abs((g - g[0]) * self._scale - np.arange(n))) > _UNIFORM_TOL:
             raise ConfigurationError("a table axis must be a uniform grid")
-        if np.shape(self.drift_values) != (n, 1):
-            raise ConfigurationError("a table holds one scalar drift value per node")
+        if (np.shape(self.drift_values) != (n, 1)
+                or np.shape(self.diff2_values) != (n, 1, 1)):
+            raise ConfigurationError(
+                "a table holds one scalar drift value and squared diffusion per node")
         # segment widths and value steps, as g[i + 1] - g[i] per lookup;
         # the drift's as flat columns
         self._gap = np.diff(g)
@@ -452,18 +446,17 @@ def build_averaged_table(model: ModelSpec, box, nodes: int,
         horizon = pilot_hor if horizon is None else horizon
     inv_cfg = replace(inv_cfg, burn_in=burn_in, horizon=horizon)
 
-    n = model.dim_slow
-    drift_values = np.empty((nodes, n))
-    drift_ci = np.empty((nodes, n))
-    diff2_values = np.empty((nodes, n, n))
-    diff2_ci = np.empty((nodes, n, n))
+    drift_values = np.empty((nodes, 1))
+    drift_ci = np.empty((nodes, 1))
+    diff2_values = np.empty((nodes, 1, 1))
+    diff2_ci = np.empty((nodes, 1, 1))
     max_clip = 0.0
     samples = _invariant_samples(
         model, grid, inv_cfg, [stream.child(f"node:{i}") for i in range(nodes)],
         where="table node {i}")
     for i, inv in enumerate(samples):
-        drift_values[i], drift_ci[i] = averaged_drift(model, grid[i], inv)
-        ad = averaged_diffusion(model, grid[i], inv)
+        drift_values[i], drift_ci[i] = averaged_drift(model, inv)
+        ad = averaged_diffusion(model, inv)
         diff2_values[i], diff2_ci[i] = ad.matrix, ad.ci
         max_clip = max(max_clip, ad.clip)
         del inv, ad     # before the next node's samples exist
@@ -511,26 +504,17 @@ _TABLE_FORMAT_VERSION = 2
 
 
 def save_averaged_table(table: AveragedTable, csv_path, meta_path):
-    """Versioned CSV of nodes plus a JSON header; floats keep 17
-    significant digits so reload is bit-exact."""
-    n = table.drift_values.shape[1]
-    cols = (["x"]
-            + [f"drift_{i}" for i in range(n)]
-            + [f"drift_ci_{i}" for i in range(n)]
-            + [f"diff2_{i}{j}" for i in range(n) for j in range(n)]
-            + [f"diff2_ci_{i}{j}" for i in range(n) for j in range(n)])
-    lines = [",".join(cols)]
-    for k, x in enumerate(table.grid):
-        row = ([x]
-               + list(table.drift_values[k]) + list(table.drift_ci[k])
-               + list(table.diff2_values[k].ravel())
-               + list(table.diff2_ci[k].ravel()))
-        lines.append(",".join(format(v, ".17g") for v in row))
+    """Versioned CSV of the nodes' five columns plus a JSON header; floats
+    keep 17 significant digits so reload is bit-exact."""
+    cols = np.column_stack([table.grid, table.drift_values, table.drift_ci,
+                            table.diff2_values[:, 0], table.diff2_ci[:, 0]])
+    lines = ["x,drift_0,drift_ci_0,diff2_00,diff2_ci_00"]
+    lines += [",".join(format(v, ".17g") for v in row) for row in cols]
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     header = {
         "format_version": _TABLE_FORMAT_VERSION,
-        "dim": n,
+        "dim": 1,
         "max_clip": table.max_clip,
         "meta": table.meta,
     }
@@ -545,20 +529,14 @@ def load_averaged_table(csv_path, meta_path) -> AveragedTable:
     version = header.get("format_version")
     if version != _TABLE_FORMAT_VERSION:
         raise ConfigurationError(f"unsupported table format version {version!r}")
-    n = int(header["dim"])
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    grid = data[:, 0]
-    at = 1
-    drift = data[:, at:at + n]; at += n
-    drift_ci = data[:, at:at + n]; at += n
-    diff2 = data[:, at:at + n * n].reshape(-1, n, n); at += n * n
-    diff2_ci = data[:, at:at + n * n].reshape(-1, n, n)
+    grid, drift, drift_ci, diff2, diff2_ci = np.loadtxt(
+        csv_path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
     return AveragedTable(
         grid=grid,
-        drift_values=drift,
-        drift_ci=drift_ci,
-        diff2_values=diff2,
-        diff2_ci=diff2_ci,
+        drift_values=drift[:, None],
+        drift_ci=drift_ci[:, None],
+        diff2_values=diff2[:, None, None],
+        diff2_ci=diff2_ci[:, None, None],
         meta=header["meta"],
         max_clip=float(header["max_clip"]),
     )

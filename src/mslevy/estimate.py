@@ -229,6 +229,13 @@ def _check_bootstrap(n_boot: int, confidence: float):
         raise ConfigurationError(f"confidence must lie in (0, 1), not {confidence!r}")
 
 
+def _level_configs(eps, policy: DeltaPolicy, t_end) -> list:
+    """One StepperConfig per level of the prepared `eps`; building them
+    all refuses an under-resolved level before any run."""
+    return [_integrate.StepperConfig(epsilon=e, delta=policy.delta_for(e, eps[-1]),
+                                     t_end=t_end) for e in eps]
+
+
 def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
                 t_end, n_paths, x0, y0, checkpoints=()):
     """Coupled pairs at every eps level, level j on stream f"{tag}:{j}".
@@ -240,8 +247,7 @@ def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
     levels' table clamps (each level's `out["clamped"]`), from 0. A
     blow-up on any path aborts the whole sweep, naming its level.
     """
-    cfgs = [_integrate.StepperConfig(epsilon=e, delta=policy.delta_for(e, eps[-1]),
-                                     t_end=t_end) for e in eps]
+    cfgs = _level_configs(eps, policy, t_end)
     levels = [None] * len(eps)
     clamps = np.zeros(len(eps), dtype=np.int64)
     for group in _integrate._rate_groups(cfgs):
@@ -264,6 +270,35 @@ def _pair_sweep(model, avg, eps, policy: DeltaPolicy, tag: str, stream, *,
     return levels, np.cumsum(clamps).tolist()
 
 
+def _level_error(err, samples, statistic, n_boot, confidence, stream):
+    """(err, CI half-width) of one sweep level: (0, 0) when every sample
+    is 0, else half the percentile `bootstrap_ci` interval of `statistic`."""
+    if np.all(samples == 0.0):
+        return 0.0, 0.0
+    lo, hi = bootstrap_ci(samples, statistic, n_boot, confidence, stream)
+    return err, 0.5 * (hi - lo)
+
+
+def _report(kind, model, eps, levels, n_paths, flags, policy, stream, *,
+            t_end, x0, y0, confidence, clamps, **meta) -> ErrorReport:
+    """The sweep's ErrorReport from each level's (error, CI half-width):
+    the fitted order, or none when `flags` withhold it, and the meta
+    keys of every sweep besides the sweep's own `meta`."""
+    errors, halves = np.array(levels, dtype=float).T
+    fit = OrderFit(None, None, None) if flags else fit_order(eps, errors)
+    meta = {"kind": kind, "model": model.name, **meta, "t_end": t_end,
+            "x0": np.asarray(x0, dtype=float).tolist(),
+            "y0": np.asarray(y0, dtype=float).tolist(),
+            "delta_policy": policy.to_dict(), "scheme": "tamed_euler",
+            "seed": [stream.master_seed, stream.stream_id, list(stream.tags)],
+            "confidence": confidence, "clamped": clamps}
+    return ErrorReport(eps=eps, errors=errors, ci_half=halves,
+                       n_paths=np.full(len(eps), n_paths), slope=fit.slope,
+                       intercept=fit.intercept, r2=fit.r2, degenerate=fit.degenerate,
+                       flags=(_DEGENERATE_REASON,) if fit.degenerate else flags,
+                       meta=meta)
+
+
 def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
                  n_paths: int, x0, y0, delta_policy: DeltaPolicy | None = None,
                  n_boot: int = 1000, confidence: float = 0.95,
@@ -284,39 +319,16 @@ def strong_error(model: ModelSpec, avg, *, eps, p: float = 2.0, t_end: float,
     policy = delta_policy or DeltaPolicy()
     levels, clamps = _pair_sweep(model, avg, eps, policy, "strong", stream,
                                  t_end=t_end, n_paths=n_paths, x0=x0, y0=y0)
-    errors, halves, counts = [], [], []
+    errs = []
     for j, (sup, _) in enumerate(levels):
         sup_p = sup**p
-        err = float(np.mean(sup_p) ** (1.0 / p))
-        if np.all(sup == 0.0):
-            errors.append(0.0)
-            halves.append(0.0)
-        else:
-            lo, hi = bootstrap_ci(
-                sup_p, lambda idx: np.mean(sup_p[idx], axis=1) ** (1.0 / p),
-                n_boot, confidence, stream.child(f"boot:{j}"))
-            errors.append(err)
-            halves.append(0.5 * (hi - lo))
-        counts.append(n_paths)
-    fit = fit_order(eps, errors)
-    flags = (_DEGENERATE_REASON,) if fit.degenerate else ()
-    meta = {
-        "kind": "strong",
-        "model": model.name,
-        "p": p,
-        "t_end": t_end,
-        "x0": np.asarray(x0, dtype=float).tolist(),
-        "y0": np.asarray(y0, dtype=float).tolist(),
-        "delta_policy": policy.to_dict(),
-        "scheme": "tamed_euler",
-        "seed": [stream.master_seed, stream.stream_id, list(stream.tags)],
-        "confidence": confidence,
-        "clamped": clamps,
-    }
-    return ErrorReport(eps=eps, errors=np.asarray(errors),
-                       ci_half=np.asarray(halves), n_paths=np.asarray(counts),
-                       slope=fit.slope, intercept=fit.intercept, r2=fit.r2,
-                       degenerate=fit.degenerate, flags=flags, meta=meta)
+        errs.append(_level_error(
+            float(np.mean(sup_p) ** (1.0 / p)), sup_p,
+            lambda idx: np.mean(sup_p[idx], axis=1) ** (1.0 / p),
+            n_boot, confidence, stream.child(f"boot:{j}")))
+    return _report("strong", model, eps, errs, n_paths, (), policy, stream,
+                   t_end=t_end, x0=x0, y0=y0, confidence=confidence,
+                   clamps=clamps, p=p)
 
 
 def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
@@ -346,30 +358,21 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
     _check_bootstrap(n_boot, confidence)
     policy = delta_policy or DeltaPolicy()
     cps = tuple(f * t_end for f in _CHECKPOINT_FRACS)
-    errors, halves, counts, clamps = [], [], [], []
-    clamped = 0
+    errs, flags = [], ()
     if mode == "coupled_difference":
         levels, clamps = _pair_sweep(model, avg, eps, policy, "weak", stream,
                                      t_end=t_end, n_paths=n_paths, x0=x0, y0=y0,
                                      checkpoints=cps)
-    for j, e in enumerate(eps):
-        if mode == "coupled_difference":
-            snaps = levels[j][1]
+        for j, (_, snaps) in enumerate(levels):
             diffs = np.stack([phi(snaps[t]["x"]) - phi(snaps[t]["xt"]) for t in cps])
-            err = float(np.max(np.abs(diffs.mean(axis=1))))
-            if np.all(diffs == 0.0):
-                errors.append(0.0)
-                halves.append(0.0)
-            else:
-                lo, hi = bootstrap_ci(
-                    diffs, lambda idx: np.max(np.abs(
-                        np.mean(diffs[:, idx], axis=2)), axis=0),
-                    n_boot, confidence, stream.child(f"boot:{j}"))
-                errors.append(err)
-                halves.append(0.5 * (hi - lo))
-        else:
-            delta = policy.delta_for(e, eps[-1])
-            cfg = _integrate.StepperConfig(epsilon=e, delta=delta, t_end=t_end)
+            errs.append(_level_error(
+                float(np.max(np.abs(diffs.mean(axis=1)))), diffs,
+                lambda idx: np.max(np.abs(np.mean(diffs[:, idx], axis=2)), axis=0),
+                n_boot, confidence, stream.child(f"boot:{j}")))
+    else:
+        clamps, clamped = [], 0
+        z = special.ndtri(0.5 + confidence / 2.0)
+        for j, cfg in enumerate(_level_configs(eps, policy, t_end)):
             sys_out = _integrate.run_system_batch(
                 model, x0, y0, cfg, n_paths, stream.child(f"weak-sys:{j}"),
                 checkpoints=cps)
@@ -379,54 +382,22 @@ def weak_error(model: ModelSpec, avg, phi: TestFunction, *, eps, t_end: float,
             pa = np.stack([phi(sys_out["checkpoints"][t]["x"]) for t in cps])
             pb = np.stack([phi(avg_out["checkpoints"][t]["x"]) for t in cps])
             gaps = pa.mean(axis=1) - pb.mean(axis=1)
-            err = float(np.max(np.abs(gaps)))
             if np.all(pa == pb):
-                errors.append(0.0)
-                halves.append(0.0)
+                errs.append((0.0, 0.0))
             else:
                 se = np.sqrt(pa.var(axis=1, ddof=1) / n_paths
                              + pb.var(axis=1, ddof=1) / n_paths)
-                z = special.ndtri(0.5 + confidence / 2.0)
-                halves.append(float(z * se[int(np.argmax(np.abs(gaps)))]))
-                errors.append(err)
+                k = int(np.argmax(np.abs(gaps)))
+                errs.append((float(abs(gaps[k])), float(z * se[k])))
             clamped += int(avg_out["clamped"].sum())
             clamps.append(clamped)
-        counts.append(n_paths)
-    errors = np.asarray(errors)
-    halves = np.asarray(halves)
-    flags = []
-    withheld = False
-    if np.any(errors <= 0):
-        flags.append(_DEGENERATE_REASON)
-    elif mode == "independent":
-        k = int(np.argmin(errors))
-        if halves[k] > 0.5 * errors[k]:
-            flags.append("noise-dominated")
-            withheld = True
-    if withheld or np.any(errors <= 0):
-        fit = OrderFit(None, None, None, degenerate=bool(np.any(errors <= 0)),
-                       reason=flags[0] if flags else None)
-    else:
-        fit = fit_order(eps, errors)
-    meta = {
-        "kind": "weak",
-        "model": model.name,
-        "phi": phi.name,
-        "mode": mode,
-        "t_end": t_end,
-        "checkpoints": list(cps),
-        "x0": np.asarray(x0, dtype=float).tolist(),
-        "y0": np.asarray(y0, dtype=float).tolist(),
-        "delta_policy": policy.to_dict(),
-        "scheme": "tamed_euler",
-        "seed": [stream.master_seed, stream.stream_id, list(stream.tags)],
-        "confidence": confidence,
-        "clamped": clamps,
-    }
-    return ErrorReport(eps=eps, errors=errors, ci_half=halves,
-                       n_paths=np.asarray(counts), slope=fit.slope,
-                       intercept=fit.intercept, r2=fit.r2,
-                       degenerate=fit.degenerate, flags=tuple(flags), meta=meta)
+        # no order is fitted when the smallest error's CI exceeds half of it
+        err, half = errs[int(np.argmin([e for e, _ in errs]))]
+        if err > 0 and half > 0.5 * err:
+            flags = ("noise-dominated",)
+    return _report("weak", model, eps, errs, n_paths, flags, policy, stream,
+                   t_end=t_end, x0=x0, y0=y0, confidence=confidence,
+                   clamps=clamps, phi=phi.name, mode=mode, checkpoints=list(cps))
 
 
 @dataclass

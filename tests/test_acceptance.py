@@ -104,9 +104,9 @@ def test_03_jump_ou_oracle():
     """Linear jump-OU closed forms: stationary mean/variance and corrector."""
     a, y_start = 0.7, 1.7
     model = _jump_ou(a)
-    inv = estimate_invariant_measure(model, 0.0, burn_in=8.0, horizon=300.0,
-                                     n_chains=64, delta=2**-8, thin=8,
-                                     stream=RngStream(9103))
+    cfg = InvariantConfig(n_chains=64, burn_in=8.0, horizon=300.0, delta=2**-8,
+                          thin=8)
+    inv = estimate_invariant_measure(model, 0.0, cfg, RngStream(9103))
     mean, mci = inv.mean_ci(inv.samples[:, 0])
     assert abs(mean - a) < 3 * mci
     y = inv.samples[:, 0]
@@ -150,10 +150,10 @@ def test_06_poisson_centering_and_semigroup():
     """Invariant-weighted corrector mean vanishes; the shift identity holds."""
     model = example_2_7("state_linear")
     x = 0.0
-    inv = estimate_invariant_measure(model, x, burn_in=6.0, horizon=200.0,
-                                     n_chains=64, delta=2**-8, thin=8,
-                                     stream=RngStream(9107))
-    avg_b, avg_ci = averaged_drift(model, x, inv)
+    cfg = InvariantConfig(n_chains=64, burn_in=6.0, horizon=200.0, delta=2**-8,
+                          thin=8)
+    inv = estimate_invariant_measure(model, x, cfg, RngStream(9107))
+    avg_b, avg_ci = averaged_drift(model, inv)
 
     draws = inv.samples[:: len(inv.samples) // 48][:48, 0]
     cells = poisson_cells(model, x, [float(yk) for yk in draws], t_cut=6.0,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -241,6 +242,19 @@ class TestExitCodes:
         assert not list(out.glob("cache/avg_table_*"))
 
     @pytest.mark.parametrize("command, options", [
+        ("strong-order", {}), ("weak-order", {}),
+        ("weak-order", {"mode": "independent"})])
+    def test_under_resolved_eps_exit_2_before_any_table(self, tmp_path, command,
+                                                        options):
+        # below eps = 2^-12 the 2^-16 step floor exceeds eps/16
+        p = write_cfg(tmp_path, {"model": "example_2_7_linear", **MINIMAL[command],
+                                 "epsilon": [2**-11, 2**-12, 2**-13], **options})
+        out = tmp_path / "out"
+        assert run(command, p, out_dir=out) == 2
+        assert "exceeds epsilon/16" in (out / "error.log").read_text()
+        assert not list(out.glob("cache/avg_table_*"))
+
+    @pytest.mark.parametrize("command, options", [
         ("frozen-stats", {"x": 0.0, "chains": 8, "burn_in": 1.0,
                           "horizon": 0.05}),
         ("avg-table", {"table": {"box": [-1, 1], "nodes": 3, "chains": 4,
@@ -453,3 +467,63 @@ class TestCommandsAndReplay:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert "moment 2" in capsys.readouterr().out
+
+
+# small runs of the estimator stages: the invariant node, the averaged
+# table with its pilot, and both order sweeps
+_TABLE = {"box": [-3, 3], "nodes": 41, "chains": 4, "burn_in": 1.0,
+          "horizon": 4.0, "delta": 2**-6}
+_SWEEP = {"model": "example_2_7_linear", "epsilon": [0.125, 0.0625, 0.03125],
+          "t_end": 0.5, "n_paths": 32, "bootstrap": 64, "table": _TABLE}
+_GOLDEN_RUNS = {
+    "frozen-stats": ("frozen-stats", {
+        "model": JUMP_OU_CFG, "x": 0.3, "chains": 8, "burn_in": 1.0,
+        "horizon": 8.0, "delta": 2**-6, "thin": 4, "y0": 0.5}),
+    "avg-table": ("avg-table", {"model": JUMP_OU_CFG, "table": {
+        "box": [-1, 1], "nodes": 5, "chains": 4, "delta": 2**-6, "thin": 4,
+        "y0": 0.2}}),
+    "poisson-check": ("poisson-check", {
+        "model": JUMP_OU_CFG, "x": 0.0, "y": 1.7, "t_cut": 4.0, "n_traj": 256,
+        "chains": 8, "burn_in": 1.0, "horizon": 16.0, "delta": 2**-6,
+        "semigroup_s": 0.25, "endpoint_draws": 4}),
+    "strong-order": ("strong-order", _SWEEP),
+    "weak-order-coupled": ("weak-order", {**_SWEEP, "n_paths": 64}),
+    "weak-order-independent": ("weak-order", {**_SWEEP, "n_paths": 64,
+                                              "mode": "independent"}),
+}
+
+
+class TestEstimatorGoldenBytes:
+    # exit code and sha256 of every artifact (names and bytes) of each run,
+    # recorded before the estimator stages took one interface each; a
+    # "-cached" case runs twice into one directory, so the second run
+    # reads the cached table (NumPy 2.4.6, x86-64)
+    GOLDEN = {
+        "frozen-stats":
+            (0, "9a0e3cddf86f512ef3be58b6164d98f8f56476be7d40d84648fa1ff27954b53d"),
+        "avg-table":
+            (0, "da3f0cf0694fb506805a2b5488475c3d43720216531c28414a1c877d8ae63e2f"),
+        "poisson-check":
+            (0, "9eb7bc3f389a528f0a87382572652e8b0972a6814ced589b80228d0b0cc14565"),
+        "strong-order":
+            (1, "e331f0a13cc9a91d6917f507409f160c505e318aa762d2bc0aee4dcee7322ef2"),
+        "strong-order-cached":
+            (1, "69a9cfe8ea674d0f66415126e35ec3388d73850b132a68df90ce9159a21c1623"),
+        "weak-order-coupled":
+            (1, "b7a4ba5e95ac46d80e1f74f170780512828fa86bf291be3b8a94125fc2efd1b9"),
+        "weak-order-independent":
+            (1, "6212a6f24767d6482782068c6ef88a4f96e00af823cb273ab6125a9127efc727"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_artifact_bytes_are_pinned(self, tmp_path, case):
+        command, payload = _GOLDEN_RUNS[case.removesuffix("-cached")]
+        p = write_cfg(tmp_path, {"seed": 61, **payload})
+        out = tmp_path / "out"
+        for _ in range(1 + case.endswith("-cached")):
+            code = run(command, p, out_dir=out)
+        h = hashlib.sha256()
+        for name, data in read_all(out).items():
+            h.update(name.encode())
+            h.update(data)
+        assert (code, h.hexdigest()) == self.GOLDEN[case]

@@ -57,10 +57,10 @@ def jump_ou(a=0.7, b=None):
     )
 
 
-def invariant(model, x=0.0, horizon=300.0, chains=64, stream_id=0, **kw):
-    return estimate_invariant_measure(
-        model, x, burn_in=8.0, horizon=horizon, n_chains=chains,
-        delta=2**-8, thin=8, stream=RngStream(100, stream_id), **kw)
+def invariant(model, x=0.0, horizon=300.0, chains=64, stream_id=0):
+    cfg = InvariantConfig(n_chains=chains, burn_in=8.0, horizon=horizon,
+                          delta=2**-8, thin=8)
+    return estimate_invariant_measure(model, x, cfg, RngStream(100, stream_id))
 
 
 def test_special_quantiles_equal_scipy_stats():
@@ -80,9 +80,20 @@ class TestInvariantMeasure:
         runs = []
         monkeypatch.setattr(integrate, "_drive", lambda *a, **k: runs.append(a))
         with pytest.raises(ConfigurationError, match="n_chains must be >= 1"):
-            estimate_invariant_measure(jump_ou(), 0.0, burn_in=1.0, horizon=5.0,
-                                       n_chains=n_chains, delta=2**-6,
-                                       stream=RngStream(1))
+            estimate_invariant_measure(
+                jump_ou(), 0.0, InvariantConfig(n_chains=n_chains, burn_in=1.0,
+                                                horizon=5.0, delta=2**-6),
+                RngStream(1))
+        assert runs == []
+
+    @pytest.mark.parametrize("unset", ["burn_in", "horizon"])
+    def test_unset_budget_is_refused_before_any_run(self, monkeypatch, unset):
+        # only the table's pilot sizes an unset burn-in or horizon
+        runs = []
+        monkeypatch.setattr(integrate, "_drive", lambda *a, **k: runs.append(a))
+        cfg = InvariantConfig(**{"burn_in": 1.0, "horizon": 5.0, unset: None})
+        with pytest.raises(ConfigurationError, match="needs burn_in and horizon"):
+            estimate_invariant_measure(jump_ou(), 0.0, cfg, RngStream(1))
         assert runs == []
 
     def test_jump_ou_mean_and_variance(self):
@@ -98,12 +109,12 @@ class TestInvariantMeasure:
 
     def test_initial_condition_independence(self):
         m = example_2_7("state_linear")
-        inv_a = estimate_invariant_measure(
-            m, 0.0, burn_in=6.0, horizon=120.0, n_chains=32, delta=2**-8,
-            thin=8, y0=2.0, stream=RngStream(101, 1))
-        inv_b = estimate_invariant_measure(
-            m, 0.0, burn_in=6.0, horizon=120.0, n_chains=32, delta=2**-8,
-            thin=8, y0=-1.5, stream=RngStream(101, 2))
+        cfg = InvariantConfig(n_chains=32, burn_in=6.0, horizon=120.0,
+                              delta=2**-8, thin=8)
+        inv_a = estimate_invariant_measure(m, 0.0, dataclasses.replace(cfg, y0=2.0),
+                                           RngStream(101, 1))
+        inv_b = estimate_invariant_measure(m, 0.0, dataclasses.replace(cfg, y0=-1.5),
+                                           RngStream(101, 2))
         for p in (1, 2, 3, 4):
             va, ca = inv_a.mean_ci(inv_a.samples[:, 0] ** p)
             vb, cb = inv_b.mean_ci(inv_b.samples[:, 0] ** p)
@@ -120,39 +131,43 @@ class TestInvariantMeasure:
 
     def test_low_ess_flagged(self):
         # 16 kept states per chain: the least that 2 chains' 32 batches take
-        inv = estimate_invariant_measure(
-            jump_ou(), 0.0, burn_in=0.5, horizon=8.0, n_chains=2,
-            delta=2**-6, thin=32, stream=RngStream(102))
+        cfg = InvariantConfig(n_chains=2, burn_in=0.5, horizon=8.0, delta=2**-6,
+                              thin=32)
+        inv = estimate_invariant_measure(jump_ou(), 0.0, cfg, RngStream(102))
         assert "low-ess" in inv.flags
 
     def test_argument_validation(self):
-        with pytest.raises(ConfigurationError):
-            estimate_invariant_measure(jump_ou(), 0.0, burn_in=-1.0,
-                                       horizon=1.0, stream=RngStream(1))
-        for delta in (0.0, -0.01):
-            with pytest.raises(ConfigurationError, match="delta > 0"):
-                estimate_invariant_measure(jump_ou(), 0.0, burn_in=1.0, horizon=1.0,
-                                           delta=delta, stream=RngStream(1))
+        # the budget is checked when it is built; None is left to the pilot
+        for budget in ({"burn_in": -1.0}, {"horizon": 0.0}, {"delta": 0.0},
+                       {"delta": -0.01}, {"burn_in": None, "horizon": -1.0}):
+            with pytest.raises(ConfigurationError, match="horizon and delta > 0"):
+                InvariantConfig(**{"burn_in": 1.0, "horizon": 1.0, **budget})
+        for thin in (0, -1):
+            with pytest.raises(ConfigurationError, match=f"thin must be >= 1, not {thin}"):
+                InvariantConfig(thin=thin)
+        assert InvariantConfig(burn_in=None, horizon=None, thin=1).thin == 1
 
     def test_horizon_too_short_for_the_batches_is_refused(self):
         # 8 chains take 4 batches each; at thin 8 the collector keeps the
         # states of steps 256, 264, ... of a 256 + 25 or 256 + 24 step run
-        kw = dict(burn_in=1.0, n_chains=8, delta=2**-8, thin=8)
-        inv = estimate_invariant_measure(jump_ou(), 0.0, horizon=25 / 256,
-                                         stream=RngStream(3), **kw)
+        cfg = InvariantConfig(n_chains=8, burn_in=1.0, horizon=25 / 256,
+                              delta=2**-8, thin=8)
+        inv = estimate_invariant_measure(jump_ou(), 0.0, cfg, RngStream(3))
         assert inv.samples.shape == (32, 1) and inv.n_batches == 32
         inv.mean_ci(inv.samples[:, 0])
         with pytest.raises(ConfigurationError,
                            match="keeps 3 states per chain, but 8 chains need 4"):
-            estimate_invariant_measure(jump_ou(), 0.0, horizon=24 / 256,
-                                       stream=RngStream(3), **kw)
+            estimate_invariant_measure(jump_ou(), 0.0,
+                                       dataclasses.replace(cfg, horizon=24 / 256),
+                                       RngStream(3))
 
     def test_blow_up_names_x(self):
         m = scalar_model("wall", b=lambda x, y: y, sigma=1.0, g=1.0,
                          f=lambda x, y: np.where(x > 2.5, np.inf, -y))
         with pytest.raises(BlowUpError, match=r"invariant measure \(x=3\.0\)"):
-            estimate_invariant_measure(m, 3.0, burn_in=0.25, horizon=1.0,
-                                       n_chains=4, delta=2**-6, stream=RngStream(2))
+            estimate_invariant_measure(
+                m, 3.0, InvariantConfig(n_chains=4, burn_in=0.25, horizon=1.0,
+                                        delta=2**-6), RngStream(2))
 
 
 class TestAveragedDrift:
@@ -160,7 +175,7 @@ class TestAveragedDrift:
         m = scalar_model("bx", b=lambda x, y: -2.0 * x, sigma=1.0,
                          f=lambda x, y: -y, g=1.0, sigma_y_independent=True)
         inv = invariant(m, x=1.5, horizon=30.0, chains=16, stream_id=5)
-        val, ci = averaged_drift(m, 1.5, inv)
+        val, ci = averaged_drift(m, inv)
         assert val[0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_jump_ou_tracking_drift(self):
@@ -168,30 +183,24 @@ class TestAveragedDrift:
         m = scalar_model("track", b=lambda x, y: y, sigma=1.0,
                          f=lambda x, y: x - y, g=1.0, sigma_y_independent=True)
         x = 1.3
-        inv = estimate_invariant_measure(m, x, burn_in=8.0, horizon=250.0,
-                                         n_chains=64, delta=2**-8, thin=8,
-                                         stream=RngStream(103))
-        val, ci = averaged_drift(m, x, inv)
+        cfg = InvariantConfig(n_chains=64, burn_in=8.0, horizon=250.0,
+                              delta=2**-8, thin=8)
+        inv = estimate_invariant_measure(m, x, cfg, RngStream(103))
+        val, ci = averaged_drift(m, inv)
         assert abs(val[0] - x) < 3 * ci[0]
 
     def test_example_2_7_drift_odd_symmetry_at_origin(self):
         m = example_2_7("state_linear")
         inv = invariant(m, x=0.0, horizon=200.0, stream_id=6)
-        val, ci = averaged_drift(m, 0.0, inv)
+        val, ci = averaged_drift(m, inv)
         assert abs(val[0]) < 3 * ci[0]
-
-    def test_x_mismatch_rejected(self):
-        m = jump_ou()
-        inv = invariant(m, x=0.0, horizon=20.0, chains=8, stream_id=7)
-        with pytest.raises(ConfigurationError):
-            averaged_drift(m, 1.0, inv)
 
 
 class TestAveragedDiffusion:
     def test_constant_sigma(self):
         m = example_2_8()
         inv = invariant(m, x=0.5, horizon=30.0, chains=16, stream_id=8)
-        ad = averaged_diffusion(m, 0.5, inv)
+        ad = averaged_diffusion(m, inv)
         assert ad.matrix[0, 0] == pytest.approx(1.0, abs=1e-14)
         root, _ = ergodic._psd_root_batch(ad.matrix[None], np.array([[0.5]]))
         assert root[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -224,10 +233,10 @@ class TestAveragedDiffusion:
         w = lambda y: np.exp(-y * y - y**6 / 3.0)
         z0, _ = sciint.quad(w, -6, 6)
         oracle, _ = sciint.quad(lambda y: (np.sin(y) + 3.0) ** 2 * w(y) / z0, -6, 6)
-        inv = estimate_invariant_measure(m, 0.0, burn_in=8.0, horizon=250.0,
-                                         n_chains=64, delta=2**-8, thin=8,
-                                         stream=RngStream(104))
-        ad = averaged_diffusion(m, 0.0, inv)
+        cfg = InvariantConfig(n_chains=64, burn_in=8.0, horizon=250.0,
+                              delta=2**-8, thin=8)
+        inv = estimate_invariant_measure(m, 0.0, cfg, RngStream(104))
+        ad = averaged_diffusion(m, inv)
         assert abs(ad.matrix[0, 0] - oracle) < 3 * ad.ci[0, 0] + 0.01
         # cross term E[6 sin y] vanishes by symmetry of the x = 0 law
         sins, ci = inv.mean_ci(np.sin(inv.samples[:, 0]))
@@ -306,8 +315,13 @@ class TestAveragedTable:
         np.testing.assert_array_equal(back.drift_values, table.drift_values)
         np.testing.assert_array_equal(back.drift_ci, table.drift_ci)
         np.testing.assert_array_equal(back.diff2_values, table.diff2_values)
+        np.testing.assert_array_equal(back.diff2_ci, table.diff2_ci)
         np.testing.assert_array_equal(back.grid, table.grid)
         assert back.meta == table.meta
+        assert back.max_clip == table.max_clip
+        again = tmp_path / "again.csv", tmp_path / "again.json"
+        save_averaged_table(back, *again)
+        assert [p.read_bytes() for p in again] == [csv.read_bytes(), meta.read_bytes()]
 
     def test_load_refuses_another_format_version(self, tmp_path):
         grid = np.linspace(-1.0, 1.0, 3)
@@ -352,12 +366,9 @@ class TestAveragedTable:
         assert runs == [chains * min(per_run, nodes - k)
                         for k in range(0, nodes, per_run)]
         for i, x in enumerate(table.grid):
-            inv = estimate_invariant_measure(
-                m, x, burn_in=cfg.burn_in, horizon=cfg.horizon,
-                n_chains=chains, delta=cfg.delta, thin=cfg.thin, y0=cfg.y0,
-                stream=stream.child(f"node:{i}"))
-            drift, drift_ci = averaged_drift(m, x, inv)
-            ad = averaged_diffusion(m, x, inv)
+            inv = estimate_invariant_measure(m, x, cfg, stream.child(f"node:{i}"))
+            drift, drift_ci = averaged_drift(m, inv)
+            ad = averaged_diffusion(m, inv)
             np.testing.assert_array_equal(table.drift_values[i], drift)
             np.testing.assert_array_equal(table.drift_ci[i], drift_ci)
             np.testing.assert_array_equal(table.diff2_values[i], ad.matrix)
@@ -430,6 +441,12 @@ class TestAveragedTable:
             AveragedTable(grid=np.linspace(0.0, 1.0, 3), drift_values=np.zeros(shape),
                           drift_ci=np.zeros((3, 1)), diff2_values=np.ones((3, 1, 1)),
                           diff2_ci=np.zeros((3, 1, 1)))
+
+    def test_non_scalar_diffusion_rejected(self):
+        with pytest.raises(ConfigurationError, match="squared diffusion per node"):
+            AveragedTable(grid=np.linspace(0.0, 1.0, 3), drift_values=np.zeros((3, 1)),
+                          drift_ci=np.zeros((3, 1)), diff2_values=np.ones((3, 2, 2)),
+                          diff2_ci=np.zeros((3, 2, 2)))
 
     def test_exact_averaged_adapter(self):
         avg = ExactAveraged(lambda x: -x, lambda x: np.full((len(x), 1, 1), 4.0))
@@ -805,8 +822,8 @@ class TestInvariantMomentUniformity:
         vals = []
         for i, x in enumerate(grid):
             inv = estimate_invariant_measure(
-                m, float(x), burn_in=5.0, horizon=60.0, n_chains=32,
-                delta=2**-8, thin=8, stream=RngStream(160, i))
+                m, float(x), InvariantConfig(n_chains=32, burn_in=5.0, horizon=60.0,
+                                             delta=2**-8, thin=8), RngStream(160, i))
             vals.append(float(np.mean(inv.samples[:, 0] ** 4)))
         vals = np.asarray(vals)
         assert np.all(np.isfinite(vals))

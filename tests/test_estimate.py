@@ -145,8 +145,8 @@ def _refused_before_any_run(monkeypatch, sweep, match, **options):
         monkeypatch.setattr(mslevy.integrate, name,
                             lambda *args, **kwargs: calls.append(args))
     avg = ExactAveraged(lambda x: -x, lambda x: np.full((len(x), 1, 1), 0.09))
-    kw = dict(eps=[2**-2, 2**-4, 2**-6], t_end=0.5, n_paths=4,
-              stream=RngStream(406), **options)
+    kw = {"eps": [2**-2, 2**-4, 2**-6], "t_end": 0.5, "n_paths": 4,
+          "stream": RngStream(406), **options}
     with pytest.raises(ConfigurationError, match=match):
         if sweep == "strong":
             strong_error(_fast_free_model(), avg, x0=1.0, y0=0.0, **kw)
@@ -170,6 +170,13 @@ def test_confidence_outside_the_open_unit_interval_is_refused(sweep, confidence,
 def test_bootstrap_count_below_one_is_refused(sweep, n_boot, monkeypatch):
     # a bootstrap CI needs one resample; refused before the pair sweep runs
     _refused_before_any_run(monkeypatch, sweep, "n_boot must be >= 1", n_boot=n_boot)
+
+
+@pytest.mark.parametrize("sweep", ["strong", "coupled", "independent"])
+def test_under_resolved_level_is_refused(sweep, monkeypatch):
+    # below eps = 2^-12 the 2^-16 step floor exceeds eps/16
+    _refused_before_any_run(monkeypatch, sweep, "exceeds epsilon/16",
+                            eps=[2**-11, 2**-12, 2**-13])
 
 
 class TestWeakError:
